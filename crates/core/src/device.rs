@@ -13,6 +13,7 @@
 
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
+use crate::charge::{Charge, ChargeKind, InterconnectKind, Part};
 use crate::cmd::{self, CmdValue, PimCommand};
 use crate::config::{DeviceConfig, PimTarget, SimMode};
 use crate::dtype::{DataType, PimScalar};
@@ -29,6 +30,7 @@ use crate::trace::{
     CopyDirection, ProtocolCounters, TraceEvent, TraceSink, Tracer, DEFAULT_RECORDER_CAPACITY,
 };
 use crate::{pim_debug, pim_info, pim_trace};
+use pim_dram::TimingCounters;
 
 /// A simulated PIM device.
 ///
@@ -54,6 +56,12 @@ pub struct Device {
     stats: SimStats,
     tracer: Tracer,
     metrics: Option<Box<MetricsRegistry>>,
+    /// The simulated clock (ms since creation): every kernel, copy and
+    /// host charge advances it, traced or not, and it stamps both the
+    /// trace and the metrics.
+    clock_ms: f64,
+    /// Reused buffer for charges' per-shard shares.
+    spare_shares: Vec<(usize, Part)>,
     last_plan: Option<PlacementPlan>,
 }
 
@@ -92,6 +100,8 @@ impl Device {
             stats: SimStats::new(),
             tracer: Tracer::default(),
             metrics,
+            clock_ms: 0.0,
+            spare_shares: Vec::new(),
             last_plan: None,
         };
         dev.sync_resources();
@@ -214,17 +224,11 @@ impl Device {
 
     /// Adds modeled host-side execution time (PIM + Host benchmarks).
     pub fn record_host_ms(&mut self, ms: f64) {
-        self.stats.record_host_ms(ms);
-        if let Some(m) = &mut self.metrics {
-            m.record_host(ms);
-        }
-        if self.tracer.enabled() {
-            let start_ms = self.tracer.advance(ms);
-            self.tracer.emit(TraceEvent::HostPhase {
-                start_ms,
-                time_ms: ms,
-            });
-        }
+        let cost = OpCost {
+            time_ms: ms,
+            energy_mj: 0.0,
+        };
+        self.post(Charge::new(ChargeKind::Host, cost, 0))
     }
 
     // ------------------------------------------------------------------
@@ -254,7 +258,8 @@ impl Device {
     }
 
     /// Disables tracing; subsequent events are discarded. The simulated
-    /// clock keeps running so a re-enabled trace stays monotonic.
+    /// clock keeps running, so a re-enabled trace resumes at the modeled
+    /// time accumulated meanwhile and stays monotonic.
     pub fn disable_tracing(&mut self) {
         self.tracer.disable();
     }
@@ -283,12 +288,11 @@ impl Device {
     /// [`DeviceConfig::with_metrics`] for enabling at construction).
     /// With `profile` the registry additionally retains occupancy spans
     /// for the time-binned utilization series. Replaces any existing
-    /// registry, so instruments restart from zero.
+    /// registry, so instruments and the metrics clock restart from zero.
     pub fn enable_metrics(&mut self, profile: bool) {
-        self.metrics = Some(Box::new(MetricsRegistry::new(
-            self.system.shard_count(),
-            profile,
-        )));
+        let mut registry = MetricsRegistry::new(self.system.shard_count(), profile);
+        registry.epoch_ms = self.clock_ms;
+        self.metrics = Some(Box::new(registry));
     }
 
     /// True when a metrics registry is recording.
@@ -310,7 +314,7 @@ impl Device {
         // Summarize each shard sub-ledger's kernel-busy share of the
         // run (modeled quantities, so this stays deterministic).
         if shards.len() > 1 {
-            let window = m.clock_ms();
+            let window = self.clock_ms - m.epoch_ms;
             for (i, shard) in shards.iter().enumerate() {
                 let frac = shard.stats().busy_fraction(window);
                 if let Some(set) = m.shard_instruments(i) {
@@ -318,7 +322,7 @@ impl Device {
                 }
             }
         }
-        Some(m.snapshot())
+        Some(m.snapshot(self.clock_ms))
     }
 
     /// Events the ring-buffer trace recorder has overwritten so far (0
@@ -328,9 +332,8 @@ impl Device {
     }
 
     fn emit_device_created(&mut self) {
-        let at_ms = self.tracer.clock_ms();
         self.tracer.emit(TraceEvent::DeviceCreated {
-            at_ms,
+            at_ms: self.clock_ms,
             target: self.config.target.to_string(),
             cores: self.config.core_count(),
             ranks: self.config.geometry.ranks,
@@ -382,7 +385,7 @@ impl Device {
             );
             if self.tracer.enabled() {
                 let event = TraceEvent::Alloc {
-                    at_ms: self.tracer.clock_ms(),
+                    at_ms: self.clock_ms,
                     id: id.0,
                     count: obj.count,
                     dtype: obj.dtype.short_name().to_string(),
@@ -415,7 +418,7 @@ impl Device {
         self.sync_resources();
         pim_debug!("free {id}");
         if self.tracer.enabled() {
-            let at_ms = self.tracer.clock_ms();
+            let at_ms = self.clock_ms;
             self.tracer.emit(TraceEvent::Free { at_ms, id: id.0 });
         }
         Ok(())
@@ -434,46 +437,40 @@ impl Device {
     // Data movement
     // ------------------------------------------------------------------
 
+    /// Charges one copy of `obj`'s `bytes`. Host↔device copies are
+    /// priced through the holders' timing backends; a device-to-device
+    /// copy is priced as its `Copy` command, so its copy charge carries
+    /// only the bytes.
     fn charge_copy(&mut self, obj: ObjId, bytes: u64, direction: CopyDirection) {
-        // Under decimation the functional buffer stands for `decimation`
-        // times as much paper-scale data; charge transfer time/energy for
-        // the represented bytes (recorded byte counts stay functional).
-        let represented = bytes * self.config.decimation.max(1);
-        let (time_ms, replay, delta) = self.system.charge_copy_with_backends(
-            obj,
-            represented,
-            bytes,
-            self.config.geometry.ranks,
-            self.tracer.enabled(),
-        );
-        if !delta.is_empty() {
-            self.stats.record_protocol(&delta);
-        }
-        let is_read = matches!(direction, CopyDirection::DeviceToHost);
-        let energy_mj = self.config.power.transfer_energy_mj(time_ms, is_read);
-        self.stats
-            .record_copy(bytes, direction.code(), time_ms, energy_mj);
-        self.system
-            .distribute_copy(obj, direction.code(), bytes, time_ms, energy_mj);
-        if let Some(m) = &mut self.metrics {
-            m.record_copy(direction.label(), bytes, time_ms, energy_mj);
-        }
-        pim_debug!(
-            "copy {}: {bytes} bytes in {time_ms:.6} ms",
-            direction.label()
-        );
-        if self.tracer.enabled() {
-            let protocol = replay.map(ProtocolCounters::from);
-            let start_ms = self.tracer.advance(time_ms);
-            self.tracer.emit(TraceEvent::Copy {
-                direction,
+        let (cost, replay, protocol) = if direction == CopyDirection::DeviceToDevice {
+            (OpCost::default(), None, TimingCounters::default())
+        } else {
+            // Under decimation the functional buffer stands for
+            // `decimation` times as much paper-scale data; charge transfer
+            // time/energy for the represented bytes (recorded byte counts
+            // stay functional).
+            let represented = bytes * self.config.decimation.max(1);
+            let (time_ms, replay, delta) = self.system.charge_copy_with_backends(
+                obj,
+                represented,
                 bytes,
-                start_ms,
-                time_ms,
-                energy_mj,
-                protocol,
-            });
-        }
+                self.config.geometry.ranks,
+                self.tracer.enabled(),
+            );
+            let is_read = direction == CopyDirection::DeviceToHost;
+            let energy_mj = self.config.power.transfer_energy_mj(time_ms, is_read);
+            let cost = OpCost { time_ms, energy_mj };
+            (cost, replay.map(ProtocolCounters::from), delta)
+        };
+        pim_debug!(
+            "copy {}: {bytes} bytes in {:.6} ms",
+            direction.label(),
+            cost.time_ms
+        );
+        let mut charge = Charge::new(ChargeKind::Copy { direction, replay }, cost, bytes);
+        charge.protocol = protocol;
+        charge.shares = self.shares_of(obj, charge.whole);
+        self.post(charge)
     }
 
     /// Charges cross-shard interconnect traffic: time for the critical
@@ -482,39 +479,87 @@ impl Device {
     /// to the pre-sharding device. Interconnect cost is tracked
     /// separately from kernel/copy time and never advances the
     /// simulated clock.
-    fn charge_interconnect(&mut self, kind: &'static str, max_bytes: u64, total_bytes: u64) {
+    fn charge_interconnect(&mut self, kind: InterconnectKind, max_bytes: u64, total_bytes: u64) {
         if self.system.shard_count() <= 1 || total_bytes == 0 {
             return;
         }
         // As with copies, decimated runs charge the represented bytes.
         let decim = self.config.decimation.max(1);
         let (max_b, tot_b) = (max_bytes * decim, total_bytes * decim);
-        let time_ms = self.system.interconnect().transfer_ms(max_b);
-        let energy_mj = self.system.interconnect().energy_mj(tot_b);
-        let ic = &mut self.stats.interconnect;
-        match kind {
-            "scatter" => ic.scatter_bytes += tot_b,
-            "gather" => ic.gather_bytes += tot_b,
-            "realign" => ic.realign_bytes += tot_b,
-            _ => ic.combine_bytes += tot_b,
+        let cost = OpCost {
+            time_ms: self.system.interconnect().transfer_ms(max_b),
+            energy_mj: self.system.interconnect().energy_mj(tot_b),
+        };
+        self.post(Charge::new(ChargeKind::Interconnect(kind), cost, tot_b));
+    }
+
+    /// `whole` split across the shards holding `costed`, in the reused
+    /// share buffer.
+    fn shares_of(&mut self, costed: ObjId, whole: Part) -> Vec<(usize, Part)> {
+        let mut shares = std::mem::take(&mut self.spare_shares);
+        self.system.split(costed, whole, &mut shares);
+        shares
+    }
+
+    /// Posts one charge: the single place modeled cost enters the
+    /// ledgers. Folds, in order: the simulated clock, [`SimStats`], the
+    /// shard sub-ledgers, the metrics registry (if on), and the trace
+    /// (if on).
+    fn post(&mut self, charge: Charge) {
+        let Part { cost, bytes, .. } = charge.whole;
+        let start_ms = self.clock_ms;
+        // Interconnect time is ledgered apart from kernel and copy time.
+        if !matches!(charge.kind, ChargeKind::Interconnect(_)) {
+            self.clock_ms += cost.time_ms.max(0.0);
         }
-        ic.transfers += 1;
-        ic.time_ms += time_ms;
-        ic.energy_mj += energy_mj;
+        if !charge.protocol.is_empty() {
+            self.stats.record_protocol(&charge.protocol);
+        }
+        self.stats.post(&charge, charge.whole);
+        self.system.post_shares(&charge);
         if let Some(m) = &mut self.metrics {
-            m.record_interconnect(kind, tot_b, time_ms, energy_mj);
+            m.post(&charge, start_ms);
         }
-        if self.tracer.enabled() {
-            let at_ms = self.tracer.clock_ms();
-            self.tracer.emit(TraceEvent::Interconnect {
-                kind,
-                bytes: tot_b,
-                shards: self.system.shard_count(),
-                at_ms,
+        let Charge { kind, shares, .. } = charge;
+        if shares.capacity() > self.spare_shares.capacity() {
+            self.spare_shares = shares;
+        }
+        if !self.tracer.enabled() {
+            return;
+        }
+        let (time_ms, energy_mj) = (cost.time_ms, cost.energy_mj);
+        self.tracer.emit(match kind {
+            ChargeKind::Cmd {
+                name,
+                category,
+                micro,
+            } => TraceEvent::Cmd {
+                name,
+                category: category.label(),
+                start_ms,
                 time_ms,
                 energy_mj,
-            });
-        }
+                cores_used: charge.whole.cores_used,
+                micro,
+            },
+            ChargeKind::Copy { direction, replay } => TraceEvent::Copy {
+                direction,
+                bytes,
+                start_ms,
+                time_ms,
+                energy_mj,
+                protocol: replay,
+            },
+            ChargeKind::Interconnect(kind) => TraceEvent::Interconnect {
+                kind: kind.label(),
+                bytes,
+                shards: self.system.shard_count(),
+                at_ms: start_ms,
+                time_ms,
+                energy_mj,
+            },
+            ChargeKind::Host => TraceEvent::HostPhase { start_ms, time_ms },
+        });
     }
 
     /// Copies host data into an object (`pimCopyHostToDevice`).
@@ -543,7 +588,7 @@ impl Device {
         self.system.scatter_to_device(data, id, dtype)?;
         self.charge_copy(id, bytes, CopyDirection::HostToDevice);
         let (max_b, tot_b) = self.system.shard_byte_split(id);
-        self.charge_interconnect("scatter", max_b, tot_b);
+        self.charge_interconnect(InterconnectKind::Scatter, max_b, tot_b);
         Ok(())
     }
 
@@ -571,7 +616,7 @@ impl Device {
         self.system.gather_to_host(id, out)?;
         self.charge_copy(id, bytes, CopyDirection::DeviceToHost);
         let (max_b, tot_b) = self.system.shard_byte_split(id);
-        self.charge_interconnect("gather", max_b, tot_b);
+        self.charge_interconnect(InterconnectKind::Gather, max_b, tot_b);
         Ok(())
     }
 
@@ -618,51 +663,43 @@ impl Device {
         Ok(())
     }
 
-    fn charge_op(&mut self, kind: OpKind, costed_on: ObjId) -> Result<()> {
-        let (dtype, layout) = {
-            let obj = self.rm().get(costed_on)?;
-            (obj.dtype, obj.layout)
-        };
+    /// Prices `kind` on `costed` and charges it. `range_frac` scales a
+    /// ranged reduction's full cost by the covered fraction of elements;
+    /// microcode counters describe whole sweeps, so a ranged charge
+    /// carries none.
+    fn charge_op(&mut self, kind: OpKind, costed: ObjId, range_frac: Option<f64>) -> Result<()> {
+        let obj = self.rm().get(costed)?;
+        let (dtype, layout) = (obj.dtype, obj.layout);
         let config = &self.config;
-        let (cost, delta) = self.system.price_with_backends(costed_on, |tm| {
+        let (full, protocol) = self.system.price_with_backends(costed, |tm| {
             model::op_cost_with(config, tm, kind, dtype, &layout)
         });
-        if !delta.is_empty() {
-            self.stats.record_protocol(&delta);
-        }
+        // Scaling by 1.0 is exact: whole commands keep their price.
+        let frac = range_frac.unwrap_or(1.0);
+        let cost = OpCost {
+            time_ms: full.time_ms * frac,
+            energy_mj: full.energy_mj * frac,
+        };
+        let micro = match range_frac {
+            None if self.tracer.enabled() => model::micro_cost(config, kind, dtype, &layout),
+            _ => None,
+        };
         let name = kind.stat_name(dtype);
         pim_trace!(
             "cmd {name}: {:.6} ms on {} cores",
             cost.time_ms,
             layout.cores_used
         );
-        if self.tracer.enabled() {
-            let micro = model::micro_cost(&self.config, kind, dtype, &layout).map(Into::into);
-            let start_ms = self.tracer.advance(cost.time_ms);
-            self.tracer.emit(TraceEvent::Cmd {
-                name: name.clone(),
-                category: kind.category().label(),
-                start_ms,
-                time_ms: cost.time_ms,
-                energy_mj: cost.energy_mj,
-                cores_used: layout.cores_used,
-                micro,
-            });
-        }
-        if let Some(m) = &mut self.metrics {
-            let shares = self.system.shard_time_shares(costed_on, cost.time_ms);
-            m.record_cmd(
-                &name,
-                kind.category().label(),
-                cost.time_ms,
-                cost.energy_mj,
-                &shares,
-            );
-        }
-        self.system
-            .distribute_cmd(costed_on, &name, kind.category(), cost);
-        self.stats
-            .record_cmd(name, kind.category(), cost, layout.cores_used);
+        let kind = ChargeKind::Cmd {
+            name,
+            category: kind.category(),
+            micro: micro.map(Into::into),
+        };
+        let mut charge = Charge::new(kind, cost, 0);
+        charge.whole.cores_used = layout.cores_used;
+        charge.protocol = protocol;
+        charge.shares = self.shares_of(costed, charge.whole);
+        self.post(charge);
         Ok(())
     }
 
@@ -813,7 +850,7 @@ impl Device {
                 let src = command.inputs[0];
                 let dst = command.dst.expect("copy writes");
                 let realigned = self.system.copy_data(src, dst)?;
-                self.charge_interconnect("realign", realigned, realigned);
+                self.charge_interconnect(InterconnectKind::Realign, realigned, realigned);
                 Ok(CmdValue::Unit)
             }
             OpKind::Broadcast(value) => {
@@ -828,7 +865,7 @@ impl Device {
                 let realigned = self
                     .system
                     .exec_elementwise(kind, dtype, &command.inputs, dst)?;
-                self.charge_interconnect("realign", realigned, realigned);
+                self.charge_interconnect(InterconnectKind::Realign, realigned, realigned);
                 Ok(CmdValue::Unit)
             }
         }
@@ -838,26 +875,11 @@ impl Device {
     /// engine, and the trace.
     pub(crate) fn charge_cmd(&mut self, command: &PimCommand) -> Result<()> {
         let costed = command.dst.unwrap_or_else(|| command.inputs[0]);
-        self.charge_op(command.kind, costed)?;
+        self.charge_op(command.kind, costed, None)?;
         if command.kind == OpKind::Copy {
-            let bytes = self.rm().get(command.inputs[0])?.bytes();
-            self.stats.record_copy(bytes, 2, 0.0, 0.0);
-            self.system
-                .distribute_copy(command.inputs[0], 2, bytes, 0.0, 0.0);
-            if let Some(m) = &mut self.metrics {
-                m.record_copy(CopyDirection::DeviceToDevice.label(), bytes, 0.0, 0.0);
-            }
-            if self.tracer.enabled() {
-                let start_ms = self.tracer.clock_ms();
-                self.tracer.emit(TraceEvent::Copy {
-                    direction: CopyDirection::DeviceToDevice,
-                    bytes,
-                    start_ms,
-                    time_ms: 0.0,
-                    energy_mj: 0.0,
-                    protocol: None,
-                });
-            }
+            let src = command.inputs[0];
+            let bytes = self.rm().get(src)?.bytes();
+            self.charge_copy(src, bytes, CopyDirection::DeviceToDevice);
         }
         if matches!(
             command.kind,
@@ -869,7 +891,7 @@ impl Device {
             let dtype = self.rm().get(command.inputs[0])?.dtype;
             let per = (dtype.bits() as u64 / 8).max(1);
             let total = self.system.shard_count() as u64 * per;
-            self.charge_interconnect("combine", per, total);
+            self.charge_interconnect(InterconnectKind::Combine, per, total);
         }
         Ok(())
     }
@@ -934,9 +956,8 @@ impl Device {
             summary.dead_writes_eliminated
         );
         if self.tracer.enabled() {
-            let at_ms = self.tracer.clock_ms();
             self.tracer.emit(TraceEvent::StreamFlush {
-                at_ms,
+                at_ms: self.clock_ms,
                 recorded: summary.recorded,
                 executed: summary.executed,
                 fused_scaled_add: summary.fused_scaled_add,
@@ -1333,9 +1354,9 @@ impl Device {
     ///
     /// [`PimError::InvalidArg`] for an out-of-bounds or empty range.
     pub fn red_sum_range(&mut self, a: ObjId, start: u64, end: u64) -> Result<i128> {
-        let (count, dtype, layout) = {
+        let (count, dtype) = {
             let obj = self.rm().get(a)?;
-            (obj.count, obj.dtype, obj.layout)
+            (obj.count, obj.dtype)
         };
         if start >= end || end > count {
             return Err(PimError::InvalidArg(format!(
@@ -1343,45 +1364,7 @@ impl Device {
             )));
         }
         let sum = self.system.red_sum_range(a, dtype, start, end)?;
-        let config = &self.config;
-        let (full, delta) = self.system.price_with_backends(a, |tm| {
-            model::op_cost_with(config, tm, OpKind::RedSum, dtype, &layout)
-        });
-        if !delta.is_empty() {
-            self.stats.record_protocol(&delta);
-        }
-        let frac = (end - start) as f64 / count as f64;
-        let cost = OpCost {
-            time_ms: full.time_ms * frac,
-            energy_mj: full.energy_mj * frac,
-        };
-        let name = OpKind::RedSum.stat_name(dtype);
-        if self.tracer.enabled() {
-            let start_ms = self.tracer.advance(cost.time_ms);
-            self.tracer.emit(TraceEvent::Cmd {
-                name: name.clone(),
-                category: OpKind::RedSum.category().label(),
-                start_ms,
-                time_ms: cost.time_ms,
-                energy_mj: cost.energy_mj,
-                cores_used: layout.cores_used,
-                micro: None,
-            });
-        }
-        if let Some(m) = &mut self.metrics {
-            let shares = self.system.shard_time_shares(a, cost.time_ms);
-            m.record_cmd(
-                &name,
-                OpKind::RedSum.category().label(),
-                cost.time_ms,
-                cost.energy_mj,
-                &shares,
-            );
-        }
-        self.system
-            .distribute_cmd(a, &name, OpKind::RedSum.category(), cost);
-        self.stats
-            .record_cmd(name, OpKind::RedSum.category(), cost, layout.cores_used);
+        self.charge_op(OpKind::RedSum, a, Some((end - start) as f64 / count as f64))?;
         Ok(sum)
     }
 }

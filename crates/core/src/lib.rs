@@ -54,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod capi;
+mod charge;
 pub mod cmd;
 pub mod config;
 pub mod device;

@@ -41,6 +41,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::charge::{Charge, ChargeKind, Part};
 use crate::trace::json::{num, string};
 
 /// Fixed-point scale for histogram bucketing: values are multiplied by
@@ -391,11 +392,15 @@ impl ProfileSnapshot {
 /// The sharded metrics registry a [`crate::Device`] records into.
 ///
 /// See the module docs for the instrument taxonomy and the determinism
-/// contract. All quantities are modeled (simulated-clock) values; the
-/// registry never reads wall time.
+/// contract. All quantities are modeled values; the registry keeps no
+/// clock of its own and never reads wall time: every charge arrives
+/// stamped on the device's simulated clock, and times are kept relative
+/// to the registry's epoch (the clock when it was enabled).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRegistry {
-    clock_ms: f64,
+    /// Device clock when the registry was enabled, so a registry enabled
+    /// mid-run counts from its enable.
+    pub(crate) epoch_ms: f64,
     device: InstrumentSet,
     shards: Vec<InstrumentSet>,
     profile: Option<ProfileRecorder>,
@@ -406,116 +411,81 @@ impl MetricsRegistry {
     /// keeps the raw occupancy spans for [`ProfileSnapshot`] binning.
     pub fn new(shards: usize, profile: bool) -> Self {
         MetricsRegistry {
-            clock_ms: 0.0,
+            epoch_ms: 0.0,
             device: InstrumentSet::default(),
             shards: vec![InstrumentSet::default(); shards.max(1)],
             profile: profile.then(ProfileRecorder::default),
         }
     }
 
-    /// The registry's simulated clock (sum of every timed quantity it
-    /// recorded, in ms). Advances independently of the tracer so
-    /// metrics work with tracing disabled.
-    pub fn clock_ms(&self) -> f64 {
-        self.clock_ms
-    }
-
-    /// True when the profiler is retaining occupancy spans.
-    pub fn profiling(&self) -> bool {
-        self.profile.is_some()
-    }
-
-    /// Records one PIM command: `time_ms`/`energy_mj` are the aggregate
-    /// modeled cost, `shares` the per-shard `(shard, busy_ms)` split
-    /// (empty on single-shard devices).
+    /// Folds one charge that started at device clock `start_ms`.
     ///
-    /// Device-level and per-shard sets use distinct counter keys
-    /// (`cmds` vs `shard_cmds`) so the merged aggregate keeps `cmds`
-    /// as the true command count — invariant across shard counts —
-    /// while `shard_cmds` counts command-shard occurrences.
-    pub fn record_cmd(
-        &mut self,
-        name: &str,
-        category: &str,
-        time_ms: f64,
-        energy_mj: f64,
-        shares: &[(usize, f64)],
-    ) {
-        let start_ms = self.clock_ms;
-        self.clock_ms += time_ms.max(0.0);
-        self.device.counter_add("cmds", 1);
-        self.device.counter_add(&format!("cmds.{category}"), 1);
-        self.device.gauge_add("kernel_energy_mj", energy_mj);
-        self.device.observe("op_latency_ms", time_ms);
-        self.device
-            .observe(&format!("op_latency_ms.{name}"), time_ms);
-        if shares.is_empty() {
-            let s = &mut self.shards[0];
-            s.counter_add("shard_cmds", 1);
-            s.observe("busy_ms", time_ms);
-            if let Some(p) = &mut self.profile {
-                p.spans.push(ShardSpan {
-                    shard: 0,
-                    start_ms,
-                    dur_ms: time_ms,
-                    busy_ms: time_ms,
-                });
-            }
-        } else {
-            for &(shard, busy_ms) in shares {
-                if shard >= self.shards.len() {
-                    continue;
+    /// Commands: device-level and per-shard sets use distinct counter
+    /// keys (`cmds` vs `shard_cmds`) so the merged aggregate keeps
+    /// `cmds` as the true command count — invariant across shard counts
+    /// — while `shard_cmds` counts command-shard occurrences; a charge
+    /// without shard shares is attributed whole to shard 0.
+    pub(crate) fn post(&mut self, charge: &Charge, start_ms: f64) {
+        let start_ms = start_ms - self.epoch_ms;
+        let Part { cost, bytes, .. } = charge.whole;
+        let (time_ms, energy_mj) = (cost.time_ms, cost.energy_mj);
+        let d = &mut self.device;
+        match &charge.kind {
+            ChargeKind::Cmd { name, category, .. } => {
+                let category = category.label();
+                d.counter_add("cmds", 1);
+                d.counter_add(&format!("cmds.{category}"), 1);
+                d.gauge_add("kernel_energy_mj", energy_mj);
+                d.observe("op_latency_ms", time_ms);
+                d.observe(&format!("op_latency_ms.{name}"), time_ms);
+                let whole = [(0, charge.whole)];
+                let shares = if charge.shares.is_empty() {
+                    &whole[..]
+                } else {
+                    &charge.shares[..]
+                };
+                for &(shard, part) in shares {
+                    let busy_ms = part.cost.time_ms;
+                    let s = &mut self.shards[shard];
+                    s.counter_add("shard_cmds", 1);
+                    s.observe("busy_ms", busy_ms);
+                    if let Some(p) = &mut self.profile {
+                        p.spans.push(ShardSpan {
+                            shard,
+                            start_ms,
+                            dur_ms: time_ms,
+                            busy_ms,
+                        });
+                    }
                 }
-                let s = &mut self.shards[shard];
-                s.counter_add("shard_cmds", 1);
-                s.observe("busy_ms", busy_ms);
+            }
+            ChargeKind::Copy { direction, .. } => {
+                d.counter_add("copies", 1);
+                d.counter_add(&format!("copies.{}", direction.label()), 1);
+                d.counter_add("copy_bytes", bytes);
+                d.gauge_add("copy_energy_mj", energy_mj);
+                d.observe("copy_bytes", bytes as f64);
+                d.observe("copy_latency_ms", time_ms);
+            }
+            ChargeKind::Interconnect(kind) => {
+                d.counter_add("interconnect.transfers", 1);
+                d.counter_add(&format!("interconnect_bytes.{}", kind.label()), bytes);
+                d.counter_add("interconnect_bytes", bytes);
+                d.gauge_add("interconnect_ms", time_ms);
+                d.gauge_add("interconnect_energy_mj", energy_mj);
+                d.observe("interconnect_bytes_hist", bytes as f64);
                 if let Some(p) = &mut self.profile {
-                    p.spans.push(ShardSpan {
-                        shard,
-                        start_ms,
-                        dur_ms: time_ms,
-                        busy_ms,
+                    p.interconnect.push(ByteSample {
+                        at_ms: start_ms,
+                        bytes,
                     });
                 }
             }
+            ChargeKind::Host => {
+                d.counter_add("host_phases", 1);
+                d.gauge_add("host_ms", time_ms);
+            }
         }
-    }
-
-    /// Records one host↔device (or device↔device) copy.
-    pub fn record_copy(&mut self, direction: &str, bytes: u64, time_ms: f64, energy_mj: f64) {
-        self.clock_ms += time_ms.max(0.0);
-        self.device.counter_add("copies", 1);
-        self.device.counter_add(&format!("copies.{direction}"), 1);
-        self.device.counter_add("copy_bytes", bytes);
-        self.device.gauge_add("copy_energy_mj", energy_mj);
-        self.device.observe("copy_bytes", bytes as f64);
-        self.device.observe("copy_latency_ms", time_ms);
-    }
-
-    /// Records one cross-shard interconnect transfer. Interconnect time
-    /// is ledgered separately from kernel time, so the clock does not
-    /// advance (matching [`crate::stats::InterconnectStats`]).
-    pub fn record_interconnect(&mut self, kind: &str, bytes: u64, time_ms: f64, energy_mj: f64) {
-        self.device.counter_add("interconnect.transfers", 1);
-        self.device
-            .counter_add(&format!("interconnect_bytes.{kind}"), bytes);
-        self.device.counter_add("interconnect_bytes", bytes);
-        self.device.gauge_add("interconnect_ms", time_ms);
-        self.device.gauge_add("interconnect_energy_mj", energy_mj);
-        self.device.observe("interconnect_bytes_hist", bytes as f64);
-        if let Some(p) = &mut self.profile {
-            p.interconnect.push(ByteSample {
-                at_ms: self.clock_ms,
-                bytes,
-            });
-        }
-    }
-
-    /// Records one modeled host-execution phase.
-    pub fn record_host(&mut self, time_ms: f64) {
-        self.clock_ms += time_ms.max(0.0);
-        self.device.counter_add("host_phases", 1);
-        self.device.gauge_add("host_ms", time_ms);
     }
 
     /// Records one command-stream flush.
@@ -529,12 +499,6 @@ impl MetricsRegistry {
             .gauge_set("trace_dropped_events", dropped as f64);
     }
 
-    /// Direct access to the device-level instrument set, for callers
-    /// recording custom instruments.
-    pub fn device_instruments(&mut self) -> &mut InstrumentSet {
-        &mut self.device
-    }
-
     /// Direct access to one shard's instrument set (`None` for an
     /// out-of-range shard index).
     pub fn shard_instruments(&mut self, shard: usize) -> Option<&mut InstrumentSet> {
@@ -543,23 +507,25 @@ impl MetricsRegistry {
 
     /// Freezes the registry: per-shard sets are merged into the
     /// aggregate **in ascending shard order** (the deterministic-merge
-    /// contract), raw profile spans are binned into occupancy series.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// contract), raw profile spans are binned into occupancy series
+    /// over the window up to device clock `clock_ms`.
+    pub fn snapshot(&self, clock_ms: f64) -> MetricsSnapshot {
+        let clock_ms = clock_ms - self.epoch_ms;
         let mut aggregate = self.device.clone();
         for shard in &self.shards {
             aggregate.merge_from(shard);
         }
         MetricsSnapshot {
             schema_version: METRICS_SCHEMA_VERSION,
-            clock_ms: self.clock_ms,
+            clock_ms,
             aggregate: aggregate.snapshot(),
             per_shard: self.shards.iter().map(InstrumentSet::snapshot).collect(),
-            profile: self.profile.as_ref().map(|p| self.bin_profile(p)),
+            profile: self.profile.as_ref().map(|p| self.bin_profile(p, clock_ms)),
         }
     }
 
-    fn bin_profile(&self, p: &ProfileRecorder) -> ProfileSnapshot {
-        if self.clock_ms <= 0.0 {
+    fn bin_profile(&self, p: &ProfileRecorder, clock_ms: f64) -> ProfileSnapshot {
+        if clock_ms <= 0.0 {
             return ProfileSnapshot {
                 bin_ms: 0.0,
                 bins: 0,
@@ -568,7 +534,7 @@ impl MetricsRegistry {
             };
         }
         let bins = DEFAULT_PROFILE_BINS;
-        let bin_ms = self.clock_ms / bins as f64;
+        let bin_ms = clock_ms / bins as f64;
         let mut shard_busy = vec![vec![0.0f64; bins]; self.shards.len()];
         for span in &p.spans {
             if span.shard >= shard_busy.len() {
@@ -614,7 +580,7 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// Layout version of the JSON rendering.
     pub schema_version: u32,
-    /// Simulated clock at snapshot time (ms).
+    /// Simulated time from the registry's enable to the snapshot (ms).
     pub clock_ms: f64,
     /// Device-level instruments merged with every shard's, in ascending
     /// shard order.
@@ -654,7 +620,12 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::charge::InterconnectKind;
+    use crate::model::OpCost;
+    use crate::ops::OpCategory;
     use crate::trace::json::Json;
+    use crate::trace::CopyDirection;
+    use pim_dram::TimingCounters;
 
     #[test]
     fn histogram_quantiles_bracket_observations() {
@@ -699,12 +670,43 @@ mod tests {
         assert_eq!(a, combined);
     }
 
+    fn part(time_ms: f64, energy_mj: f64, bytes: u64) -> Part {
+        Part {
+            cost: OpCost { time_ms, energy_mj },
+            bytes,
+            cores_used: 1,
+        }
+    }
+
+    fn charge(kind: ChargeKind, whole: Part, shares: &[(usize, f64)]) -> Charge {
+        Charge {
+            kind,
+            whole,
+            protocol: TimingCounters::default(),
+            shares: shares.iter().map(|&(s, t)| (s, part(t, 0.0, 0))).collect(),
+        }
+    }
+
+    fn cmd(time_ms: f64, energy_mj: f64, shares: &[(usize, f64)]) -> Charge {
+        let kind = ChargeKind::Cmd {
+            name: "add.int32".into(),
+            category: OpCategory::Add,
+            micro: None,
+        };
+        charge(kind, part(time_ms, energy_mj, 0), shares)
+    }
+
+    fn scatter(bytes: u64) -> Charge {
+        let kind = ChargeKind::Interconnect(InterconnectKind::Scatter);
+        charge(kind, part(0.1, 0.001, bytes), &[])
+    }
+
     #[test]
     fn registry_merges_shards_in_ascending_order() {
         let mut r = MetricsRegistry::new(2, false);
-        r.record_cmd("add.int32", "add", 2.0, 0.5, &[(0, 1.5), (1, 0.5)]);
-        r.record_cmd("mul.int32", "mul", 1.0, 0.25, &[(1, 1.0)]);
-        let snap = r.snapshot();
+        r.post(&cmd(2.0, 0.5, &[(0, 1.5), (1, 0.5)]), 0.0);
+        r.post(&cmd(1.0, 0.25, &[(1, 1.0)]), 2.0);
+        let snap = r.snapshot(3.0);
         assert_eq!(snap.aggregate.counters["cmds"], 2); // true command count
         assert_eq!(snap.aggregate.counters["shard_cmds"], 3); // shard occurrences
         assert_eq!(snap.per_shard[0].counters["shard_cmds"], 1);
@@ -712,18 +714,33 @@ mod tests {
         let busy = &snap.aggregate.histograms["busy_ms"];
         assert_eq!(busy.count, 3);
         assert!((busy.sum - 3.0).abs() < 1e-12);
-        assert!((snap.clock_ms - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn epoch_makes_a_late_registry_count_from_its_enable() {
+        let mut r = MetricsRegistry::new(1, true);
+        r.epoch_ms = 10.0;
+        r.post(&cmd(2.0, 0.0, &[]), 10.0);
+        let snap = r.snapshot(12.0);
+        assert_eq!(snap.clock_ms, 2.0);
+        let p = snap.profile.unwrap();
+        let busy: f64 = p.shard_busy[0].iter().sum::<f64>() * p.bin_ms;
+        assert!((busy - 2.0).abs() < 1e-9, "busy {busy}");
     }
 
     #[test]
     fn snapshot_json_is_parseable_and_stable() {
         let mut r = MetricsRegistry::new(1, true);
-        r.record_cmd("add.int32", "add", 1.0, 0.1, &[]);
-        r.record_copy("host_to_device", 4096, 0.5, 0.01);
-        r.record_interconnect("scatter", 1024, 0.1, 0.001);
-        r.record_host(0.25);
-        let s1 = r.snapshot();
-        let s2 = r.snapshot();
+        r.post(&cmd(1.0, 0.1, &[]), 0.0);
+        let copy = ChargeKind::Copy {
+            direction: CopyDirection::HostToDevice,
+            replay: None,
+        };
+        r.post(&charge(copy, part(0.5, 0.01, 4096), &[]), 1.0);
+        r.post(&scatter(1024), 1.5);
+        r.post(&charge(ChargeKind::Host, part(0.25, 0.0, 0), &[]), 1.5);
+        let s1 = r.snapshot(1.75);
+        let s2 = r.snapshot(1.75);
         assert_eq!(s1, s2);
         assert_eq!(s1.to_json(), s2.to_json());
         let doc = Json::parse(&s1.to_json()).expect("metrics JSON parses");
@@ -751,9 +768,9 @@ mod tests {
     fn profile_bins_conserve_busy_time() {
         let mut r = MetricsRegistry::new(2, true);
         // Two commands, each 4 ms long, split unevenly across 2 shards.
-        r.record_cmd("add.int32", "add", 4.0, 0.0, &[(0, 3.0), (1, 1.0)]);
-        r.record_cmd("mul.int32", "mul", 4.0, 0.0, &[(0, 2.0), (1, 2.0)]);
-        let p = r.snapshot().profile.unwrap();
+        r.post(&cmd(4.0, 0.0, &[(0, 3.0), (1, 1.0)]), 0.0);
+        r.post(&cmd(4.0, 0.0, &[(0, 2.0), (1, 2.0)]), 4.0);
+        let p = r.snapshot(8.0).profile.unwrap();
         assert_eq!(p.bins, DEFAULT_PROFILE_BINS);
         let busy0: f64 = p.shard_busy[0].iter().sum::<f64>() * p.bin_ms;
         let busy1: f64 = p.shard_busy[1].iter().sum::<f64>() * p.bin_ms;
@@ -769,9 +786,9 @@ mod tests {
     #[test]
     fn interconnect_samples_land_in_bins() {
         let mut r = MetricsRegistry::new(2, true);
-        r.record_cmd("add.int32", "add", 2.0, 0.0, &[(0, 1.0), (1, 1.0)]);
-        r.record_interconnect("scatter", 512, 0.1, 0.0);
-        let p = r.snapshot().profile.unwrap();
+        r.post(&cmd(2.0, 0.0, &[(0, 1.0), (1, 1.0)]), 0.0);
+        r.post(&scatter(512), 2.0);
+        let p = r.snapshot(2.0).profile.unwrap();
         let total: u64 = p.interconnect_bytes.iter().sum();
         assert_eq!(total, 512);
     }

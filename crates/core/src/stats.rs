@@ -5,9 +5,11 @@ use std::collections::BTreeMap;
 
 use pim_dram::TimingCounters;
 
+use crate::charge::{Charge, ChargeKind, InterconnectKind, Part};
 use crate::config::DeviceConfig;
 use crate::model::OpCost;
 use crate::ops::OpCategory;
+use crate::trace::CopyDirection;
 
 /// Aggregate statistics for one PIM command name.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -262,15 +264,19 @@ impl SimStats {
         SimStats::default()
     }
 
-    /// Records one PIM command invocation.
+    /// Records one PIM command invocation. The name's key is allocated
+    /// only on its first use.
     pub fn record_cmd(
         &mut self,
-        name: String,
+        name: &str,
         category: OpCategory,
         cost: OpCost,
         cores_used: usize,
     ) {
-        let e = self.cmds.entry(name).or_default();
+        let e = match self.cmds.get_mut(name) {
+            Some(e) => e,
+            None => self.cmds.entry(name.to_string()).or_default(),
+        };
         e.count += 1;
         e.time_ms += cost.time_ms;
         e.energy_mj += cost.energy_mj;
@@ -278,16 +284,48 @@ impl SimStats {
         self.max_cores_used = self.max_cores_used.max(cores_used);
     }
 
-    /// Records a data copy. Directions: 0 = host→device, 1 = device→host,
-    /// 2 = device→device.
-    pub fn record_copy(&mut self, bytes: u64, direction: u8, time_ms: f64, energy_mj: f64) {
-        match direction {
-            0 => self.copy.host_to_device_bytes += bytes,
-            1 => self.copy.device_to_host_bytes += bytes,
-            _ => self.copy.device_to_device_bytes += bytes,
-        }
+    /// Records a data copy.
+    pub fn record_copy(
+        &mut self,
+        bytes: u64,
+        direction: CopyDirection,
+        time_ms: f64,
+        energy_mj: f64,
+    ) {
+        *match direction {
+            CopyDirection::HostToDevice => &mut self.copy.host_to_device_bytes,
+            CopyDirection::DeviceToHost => &mut self.copy.device_to_host_bytes,
+            CopyDirection::DeviceToDevice => &mut self.copy.device_to_device_bytes,
+        } += bytes;
         self.copy.time_ms += time_ms;
         self.copy.energy_mj += energy_mj;
+    }
+
+    /// Folds one charge's `part` (its whole, or one shard's share) into
+    /// this ledger.
+    pub(crate) fn post(&mut self, charge: &Charge, part: Part) {
+        let (cost, bytes) = (part.cost, part.bytes);
+        match &charge.kind {
+            ChargeKind::Cmd { name, category, .. } => {
+                self.record_cmd(name, *category, cost, part.cores_used)
+            }
+            ChargeKind::Copy { direction, .. } => {
+                self.record_copy(bytes, *direction, cost.time_ms, cost.energy_mj)
+            }
+            ChargeKind::Interconnect(kind) => {
+                let ic = &mut self.interconnect;
+                *match kind {
+                    InterconnectKind::Scatter => &mut ic.scatter_bytes,
+                    InterconnectKind::Gather => &mut ic.gather_bytes,
+                    InterconnectKind::Realign => &mut ic.realign_bytes,
+                    InterconnectKind::Combine => &mut ic.combine_bytes,
+                } += bytes;
+                ic.transfers += 1;
+                ic.time_ms += cost.time_ms;
+                ic.energy_mj += cost.energy_mj;
+            }
+            ChargeKind::Host => self.record_host_ms(cost.time_ms),
+        }
     }
 
     /// Adds modeled host execution time.
@@ -580,10 +618,10 @@ mod tests {
     #[test]
     fn breakdown_sums_to_one() {
         let mut s = SimStats::new();
-        s.record_copy(1024, 0, 0.5, 0.1);
+        s.record_copy(1024, CopyDirection::HostToDevice, 0.5, 0.1);
         s.record_host_ms(0.25);
         s.record_cmd(
-            "add.int32".into(),
+            "add.int32",
             OpCategory::Add,
             OpCost {
                 time_ms: 0.25,
@@ -607,7 +645,7 @@ mod tests {
         let mut s = SimStats::new();
         for _ in 0..3 {
             s.record_cmd(
-                "mul.int32".into(),
+                "mul.int32",
                 OpCategory::Mul,
                 OpCost {
                     time_ms: 1.0,
@@ -628,7 +666,7 @@ mod tests {
         let cfg = DeviceConfig::new(PimTarget::Fulcrum, 4);
         let mut s = SimStats::new();
         s.record_cmd(
-            "add.int32".into(),
+            "add.int32",
             OpCategory::Add,
             OpCost {
                 time_ms: 0.00166,
@@ -663,7 +701,7 @@ mod tests {
         let cfg = DeviceConfig::new(PimTarget::BitSerial, 1);
         let mut s = SimStats::new();
         s.record_cmd(
-            "add.int32".into(),
+            "add.int32",
             OpCategory::Add,
             OpCost {
                 time_ms: 100.0,

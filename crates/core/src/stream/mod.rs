@@ -288,29 +288,34 @@ impl<'d> CommandStream<'d> {
 
     /// Optimizes and executes everything recorded since the last flush.
     ///
-    /// Pass order: the level's optimization pipeline (see the module
-    /// docs), then validation of every surviving command, then — at
+    /// Pass order: validation of every recorded command, then the
+    /// level's optimization pipeline (see the module docs), then — at
     /// level 2 — the placement analysis, then execution: runs of two or
     /// more adjacent commands over objects with the same element count
     /// go through one batched parallel sweep; the rest execute singly.
     /// Each executed command is charged to the cost model exactly as an
-    /// eager issue would be.
+    /// eager issue would be. The passes therefore only ever see
+    /// well-formed commands, and a command they would eliminate still
+    /// reports its error.
     ///
     /// # Errors
     ///
-    /// Validation errors from any surviving command; nothing executes
-    /// when validation fails.
+    /// The first invalid recorded command's error, the same error
+    /// [`Device::issue`] returns for it. Validation runs before anything
+    /// else, so on a validation error nothing executes, the device's
+    /// buffers and statistics are unchanged, and the pending commands
+    /// are cleared.
     pub fn flush(&mut self) -> Result<FlushSummary> {
         let mut cmds = std::mem::take(&mut self.pending);
+        for cmd in &cmds {
+            self.dev.validate_cmd(cmd)?;
+        }
         let recorded = cmds.len() as u64;
         let level = self.opt_level();
         let outcome = match level {
             OptLevel::O0 => passes::run_peephole(self.dev, &mut cmds),
             OptLevel::O1 | OptLevel::O2 => passes::run_graph(self.dev, &mut cmds),
         };
-        for cmd in &cmds {
-            self.dev.validate_cmd(cmd)?;
-        }
         let mut summary = FlushSummary {
             recorded,
             executed: cmds.len() as u64,

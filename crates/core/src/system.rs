@@ -37,12 +37,12 @@ use std::collections::BTreeMap;
 use pim_dram::exec;
 use pim_dram::{make_timing_model, CopyReplay, TimingBackend, TimingCounters, TimingModel};
 
+use crate::charge::{Charge, Part};
 use crate::config::{DeviceConfig, ShardPolicy, SimMode};
 use crate::dtype::{DataType, PimScalar};
 use crate::error::{PimError, Result};
 use crate::model::OpCost;
 use crate::object::{ObjId, ObjectLayout};
-use crate::ops::OpCategory;
 use crate::resource::ResourceManager;
 use crate::stats::{ResourceStats, ShardResourceStats, SimStats};
 
@@ -1138,152 +1138,65 @@ impl PimSystem {
     // Per-shard cost distribution
     // ------------------------------------------------------------------
 
-    /// Splits one command's aggregate cost across the shard ledgers
-    /// proportionally to each shard's element share of `costed`; the
-    /// last non-empty shard absorbs the rounding remainder so the
-    /// per-shard sum equals the aggregate exactly up to float
-    /// re-association.
-    pub(crate) fn distribute_cmd(
-        &mut self,
-        costed: ObjId,
-        name: &str,
-        category: OpCategory,
-        cost: OpCost,
-    ) {
+    /// Splits a charge's `whole` across the shards holding `id`,
+    /// proportionally to each shard's element count, into `out` (cleared
+    /// first; left empty on single-shard devices or unmapped objects).
+    /// The last non-empty shard absorbs the rounding remainder, so the
+    /// shares sum to the whole: bytes exactly (u128 integer split), time
+    /// and energy up to float re-association. Each share carries the
+    /// object's shard-local core count.
+    pub(crate) fn split(&self, id: ObjId, whole: Part, out: &mut Vec<(usize, Part)>) {
+        out.clear();
         if self.shards.len() <= 1 {
             return;
         }
-        let Some(map) = self.maps.get(&costed.0) else {
+        let Some(map) = self.maps.get(&id.0) else {
             return;
         };
-        let counts = map.counts.clone();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
+        let Some(last) = map.counts.iter().rposition(|&c| c > 0) else {
             return;
-        }
-        let Some(last) = counts.iter().rposition(|&c| c > 0) else {
-            return;
-        };
-        let (mut acc_t, mut acc_e) = (0.0f64, 0.0f64);
-        for (s, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let (t, e) = if s == last {
-                (
-                    (cost.time_ms - acc_t).max(0.0),
-                    (cost.energy_mj - acc_e).max(0.0),
-                )
-            } else {
-                let frac = c as f64 / total as f64;
-                (cost.time_ms * frac, cost.energy_mj * frac)
-            };
-            acc_t += t;
-            acc_e += e;
-            let cores = self.shards[s]
-                .rm
-                .get(costed)
-                .map(|o| o.layout.cores_used)
-                .unwrap_or(0);
-            self.shards[s].stats.record_cmd(
-                name.to_string(),
-                category,
-                OpCost {
-                    time_ms: t,
-                    energy_mj: e,
-                },
-                cores,
-            );
-        }
-    }
-
-    /// Splits one copy's bytes/time/energy across the shard ledgers
-    /// proportionally to each shard's element share of `obj` (remainder
-    /// to the last non-empty shard, as in
-    /// [`PimSystem::distribute_cmd`]).
-    pub(crate) fn distribute_copy(
-        &mut self,
-        obj: ObjId,
-        direction: u8,
-        bytes: u64,
-        time_ms: f64,
-        energy_mj: f64,
-    ) {
-        if self.shards.len() <= 1 {
-            return;
-        }
-        let Some(map) = self.maps.get(&obj.0) else {
-            return;
-        };
-        let counts = map.counts.clone();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return;
-        }
-        let Some(last) = counts.iter().rposition(|&c| c > 0) else {
-            return;
-        };
-        let (mut acc_b, mut acc_t, mut acc_e) = (0u64, 0.0f64, 0.0f64);
-        for (s, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let (b, t, e) = if s == last {
-                (
-                    bytes - acc_b,
-                    (time_ms - acc_t).max(0.0),
-                    (energy_mj - acc_e).max(0.0),
-                )
-            } else {
-                let frac = c as f64 / total as f64;
-                (
-                    (bytes as u128 * c as u128 / total as u128) as u64,
-                    time_ms * frac,
-                    energy_mj * frac,
-                )
-            };
-            acc_b += b;
-            acc_t += t;
-            acc_e += e;
-            self.shards[s].stats.record_copy(b, direction, t, e);
-        }
-    }
-
-    /// Each shard's proportional share of a `time_ms`-long command on
-    /// `costed`, as `(shard, share_ms)` pairs in ascending shard order —
-    /// the same split [`PimSystem::distribute_cmd`] ledgers (last
-    /// non-empty shard absorbs the rounding remainder). Empty on
-    /// single-shard devices or unmapped objects, so callers fall back
-    /// to whole-device attribution.
-    pub(crate) fn shard_time_shares(&self, costed: ObjId, time_ms: f64) -> Vec<(usize, f64)> {
-        if self.shards.len() <= 1 {
-            return Vec::new();
-        }
-        let Some(map) = self.maps.get(&costed.0) else {
-            return Vec::new();
         };
         let total: u64 = map.counts.iter().sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        let Some(last) = map.counts.iter().rposition(|&c| c > 0) else {
-            return Vec::new();
-        };
-        let mut shares = Vec::new();
-        let mut acc = 0.0f64;
-        for (s, &c) in map.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let t = if s == last {
-                (time_ms - acc).max(0.0)
+        let (mut acc_b, mut acc_t, mut acc_e) = (0u64, 0.0f64, 0.0f64);
+        for (s, &c) in map.counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            let (bytes, time_ms, energy_mj) = if s == last {
+                (
+                    whole.bytes - acc_b,
+                    (whole.cost.time_ms - acc_t).max(0.0),
+                    (whole.cost.energy_mj - acc_e).max(0.0),
+                )
             } else {
-                time_ms * (c as f64 / total as f64)
+                let frac = c as f64 / total as f64;
+                (
+                    (whole.bytes as u128 * c as u128 / total as u128) as u64,
+                    whole.cost.time_ms * frac,
+                    whole.cost.energy_mj * frac,
+                )
             };
-            acc += t;
-            shares.push((s, t));
+            acc_b += bytes;
+            acc_t += time_ms;
+            acc_e += energy_mj;
+            let cores_used = self.shards[s]
+                .rm
+                .get(id)
+                .map(|o| o.layout.cores_used)
+                .unwrap_or(0);
+            out.push((
+                s,
+                Part {
+                    cost: OpCost { time_ms, energy_mj },
+                    bytes,
+                    cores_used,
+                },
+            ));
         }
-        shares
+    }
+
+    /// Folds each of `charge`'s shard shares into that shard's ledger.
+    pub(crate) fn post_shares(&mut self, charge: &Charge) {
+        for &(s, part) in &charge.shares {
+            self.shards[s].stats.post(charge, part);
+        }
     }
 
     /// Critical-path and total byte loads of scattering/gathering `id`:

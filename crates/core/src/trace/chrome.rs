@@ -345,11 +345,15 @@ mod tests {
 
     #[test]
     fn counter_tracks_render_per_bin_series() {
-        use crate::metrics::{MetricsRegistry, DEFAULT_PROFILE_BINS};
-        let mut r = MetricsRegistry::new(2, true);
-        r.record_cmd("add.int32", "add", 4.0, 0.1, &[(0, 3.0), (1, 1.0)]);
-        r.record_interconnect("scatter", 256, 0.05, 0.001);
-        let snap = r.snapshot();
+        use crate::metrics::DEFAULT_PROFILE_BINS;
+        use crate::{DeviceConfig, PimTarget};
+        let cfg = DeviceConfig::new(PimTarget::Fulcrum, 1)
+            .with_shards(2)
+            .with_profile();
+        let mut dev = crate::Device::new(cfg).unwrap();
+        let a = dev.alloc_vec(&[1i32; 64]).unwrap();
+        dev.add(a, a, a).unwrap();
+        let snap = dev.metrics_snapshot().unwrap();
         let mut b = ChromeTraceBuilder::new();
         b.add_counter_tracks("metrics", &snap);
         let doc = Json::parse(&b.finish()).unwrap();

@@ -127,15 +127,6 @@ impl CopyDirection {
             CopyDirection::DeviceToDevice => "device_to_device",
         }
     }
-
-    /// The direction code used by [`SimStats::record_copy`](crate::SimStats::record_copy).
-    pub fn code(&self) -> u8 {
-        match self {
-            CopyDirection::HostToDevice => 0,
-            CopyDirection::DeviceToHost => 1,
-            CopyDirection::DeviceToDevice => 2,
-        }
-    }
 }
 
 /// One timeline event. Timestamps (`at_ms`, `start_ms`) are simulated
@@ -402,13 +393,13 @@ impl TraceSink for Recorder {
     }
 }
 
-/// The device's tracing state: an optional sink plus the simulated
-/// clock. With no sink installed every instrumentation site reduces to
-/// one branch, so untraced runs pay nothing.
+/// The device's tracing state: an optional sink. Events arrive stamped
+/// on the device's simulated clock. With no sink installed every
+/// instrumentation site reduces to one branch, so untraced runs pay
+/// nothing.
 #[derive(Debug, Default)]
 pub struct Tracer {
     slot: SinkSlot,
-    clock_ms: f64,
 }
 
 #[derive(Debug, Default)]
@@ -428,11 +419,6 @@ impl Tracer {
         !matches!(self.slot, SinkSlot::Noop)
     }
 
-    /// The simulated clock position (ms since device creation).
-    pub fn clock_ms(&self) -> f64 {
-        self.clock_ms
-    }
-
     /// Installs the built-in recorder (replacing any sink).
     pub fn install_recorder(&mut self, capacity: usize) {
         self.slot = SinkSlot::Recorder(Recorder::with_capacity(capacity));
@@ -443,8 +429,7 @@ impl Tracer {
         self.slot = SinkSlot::Custom(sink);
     }
 
-    /// Removes the sink; subsequent events are discarded. The clock
-    /// keeps running so re-enabled traces stay monotonic.
+    /// Removes the sink; subsequent events are discarded.
     pub fn disable(&mut self) {
         self.slot = SinkSlot::Noop;
     }
@@ -474,20 +459,13 @@ impl Tracer {
         }
     }
 
-    /// Emits an instantaneous event at the current clock.
+    /// Passes one event to the installed sink.
     pub fn emit(&mut self, event: TraceEvent) {
         match &mut self.slot {
             SinkSlot::Noop => {}
             SinkSlot::Recorder(r) => r.record(&event),
             SinkSlot::Custom(s) => s.record(&event),
         }
-    }
-
-    /// Advances the simulated clock by `ms` and returns the span start.
-    pub fn advance(&mut self, ms: f64) -> f64 {
-        let start = self.clock_ms;
-        self.clock_ms += ms.max(0.0);
-        start
     }
 }
 
@@ -556,14 +534,11 @@ mod tests {
     }
 
     #[test]
-    fn tracer_noop_discards_and_clock_advances() {
+    fn tracer_noop_discards() {
         let mut t = Tracer::default();
         assert!(!t.enabled());
         t.emit(cmd(1));
         assert!(t.take_events().is_empty());
-        assert_eq!(t.advance(2.5), 0.0);
-        assert_eq!(t.advance(1.0), 2.5);
-        assert!((t.clock_ms() - 3.5).abs() < 1e-12);
     }
 
     #[test]

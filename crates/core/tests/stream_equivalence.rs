@@ -527,3 +527,75 @@ fn convenience_constructors_honor_thread_count_overrides() {
         }
     }
 }
+
+/// Records `program` on a fresh device and flushes it at every level:
+/// the flush must fail with exactly the error eager issue of `bad`
+/// returns, clear the pending commands, and leave statistics and every
+/// buffer untouched. `program` receives `[x, y, out, h]`: three int32
+/// objects and one int16 object of the same length.
+fn check_flush_error_matches_eager(
+    bad: impl Fn(&[pimeval::ObjId]) -> PimCommand,
+    program: impl Fn(&[pimeval::ObjId]) -> Vec<PimCommand>,
+) {
+    let setup = |dev: &mut Device| {
+        vec![
+            dev.alloc_vec(&[1i32, 2, 3, 4]).unwrap(),
+            dev.alloc_vec(&[10i32, 20, 30, 40]).unwrap(),
+            dev.alloc_vec(&[7i32, 7, 7, 7]).unwrap(),
+            dev.alloc_vec(&[5i16, 6, 7, 8]).unwrap(),
+        ]
+    };
+    let mut eager = device(PimTarget::Fulcrum);
+    let ids = setup(&mut eager);
+    let want = eager.issue(bad(&ids)).unwrap_err();
+
+    for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+        let mut dev = device(PimTarget::Fulcrum);
+        let ids = setup(&mut dev);
+        let before = dev.stats().clone();
+        let mut stream = dev.stream();
+        stream.set_opt(level);
+        for cmd in program(&ids) {
+            stream.record(cmd);
+        }
+        let got = stream.flush().unwrap_err();
+        assert!(stream.pending().is_empty(), "opt {level}: pending kept");
+        drop(stream);
+        assert_eq!(got, want, "opt {level}: error differs from eager");
+        assert_eq!(dev.stats(), &before, "opt {level}: stats changed");
+        assert_eq!(dev.to_vec::<i32>(ids[0]).unwrap(), [1, 2, 3, 4]);
+        assert_eq!(dev.to_vec::<i32>(ids[1]).unwrap(), [10, 20, 30, 40]);
+        assert_eq!(dev.to_vec::<i32>(ids[2]).unwrap(), [7, 7, 7, 7]);
+        assert_eq!(dev.to_vec::<i16>(ids[3]).unwrap(), [5, 6, 7, 8]);
+    }
+}
+
+#[test]
+fn malformed_arity_fails_flush_like_eager_issue() {
+    let add = OpKind::Binary(pimeval::pim_microcode::gen::BinaryOp::Add);
+    let bad = |ids: &[pimeval::ObjId]| PimCommand {
+        kind: add,
+        inputs: vec![ids[0]],
+        dst: Some(ids[2]),
+    };
+    check_flush_error_matches_eager(bad, |ids| {
+        vec![
+            PimCommand::elementwise2(add, ids[0], ids[1], ids[2]),
+            bad(ids),
+        ]
+    });
+}
+
+#[test]
+fn invalid_dead_write_fails_flush_like_eager_issue() {
+    // The int32 + int16 add's destination is overwritten unread, so
+    // dead-write elimination would drop it; validation must come first.
+    let add = OpKind::Binary(pimeval::pim_microcode::gen::BinaryOp::Add);
+    let bad = |ids: &[pimeval::ObjId]| PimCommand::elementwise2(add, ids[0], ids[3], ids[2]);
+    check_flush_error_matches_eager(bad, |ids| {
+        vec![
+            bad(ids),
+            PimCommand::elementwise2(add, ids[0], ids[1], ids[2]),
+        ]
+    });
+}

@@ -221,6 +221,31 @@ fn disable_tracing_stops_recording() {
     );
 }
 
+#[test]
+fn re_enabled_trace_resumes_at_accumulated_modeled_time() {
+    let mut dev = Device::fulcrum(2).unwrap();
+    dev.enable_tracing();
+    let _ = run_workload(&mut dev);
+    dev.disable_tracing();
+    let _ = run_workload(&mut dev);
+    let elapsed = dev.stats().total_time_ms();
+    assert!(elapsed > 0.0);
+    dev.enable_tracing();
+    let _ = run_workload(&mut dev);
+    let events = dev.take_trace();
+    let first_span = events
+        .iter()
+        .find(|e| matches!(e, TraceEvent::Copy { .. }))
+        .expect("the workload copies first");
+    for e in [&events[0], first_span] {
+        assert!(
+            close(e.timestamp_ms(), elapsed),
+            "resumed at {} ms, modeled time so far {elapsed} ms",
+            e.timestamp_ms()
+        );
+    }
+}
+
 /// Relative float agreement for sums folded in different orders.
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
