@@ -1,12 +1,18 @@
 //! Runs the extension kernels (prefix sum, string match, transitive
-//! closure — the additions §II/§IX of the paper announce) on all four
-//! modeled targets, including the analog bit-serial extension, and
-//! prints CPU-relative speedups in the Fig. 9 style.
+//! closure — the additions §II/§IX of the paper announce) on every
+//! target in [`PimTarget::EXTENDED`] — the paper's three plus the
+//! analog bit-serial and UPMEM-like extensions — and prints
+//! CPU-relative speedups in the Fig. 9 style.
 
 use pim_baseline::ComputeModel;
 use pim_bench_harness::{cli_params, fmt_ratio};
 use pimbench::extension_benchmarks;
 use pimeval::{Device, DeviceConfig, PimTarget};
+
+/// Width of the kernel-name column.
+const KERNEL_W: usize = 20;
+/// Width of one target column, including its leading space.
+const COLUMN_W: usize = 15;
 
 fn main() {
     let params = cli_params(0.25);
@@ -15,10 +21,16 @@ fn main() {
         "Extension kernels — speedup over baseline CPU (32 ranks, scale {})\n",
         params.scale
     );
-    println!(
-        "{:<20} {:>14} {:>10} {:>12} {:>18}",
-        "Kernel", "Bit-serial", "Fulcrum", "Bank-level", "Analog-bit-serial"
-    );
+    // One heading per target column, each ending where its numbers end
+    // (a name wider than the column borrows from the gap to its left).
+    let mut heading = format!("{:<KERNEL_W$}", "Kernel");
+    for (k, target) in PimTarget::EXTENDED.iter().enumerate() {
+        let end = KERNEL_W + COLUMN_W * (k + 1);
+        let pad = end.saturating_sub(heading.len() + target.name().len());
+        heading.push_str(&" ".repeat(pad.max(1)));
+        heading.push_str(target.name());
+    }
+    println!("{heading}");
     let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
     for bench in extension_benchmarks() {
         let mut speedups = Vec::new();
@@ -39,9 +51,9 @@ fn main() {
         rows.push((bench.spec().name.to_string(), speedups));
     }
     for (name, speedups) in rows {
-        print!("{name:<20}");
+        print!("{name:<KERNEL_W$}");
         for s in speedups {
-            print!(" {:>14}", fmt_ratio(s));
+            print!(" {:>w$}", fmt_ratio(s), w = COLUMN_W - 1);
         }
         println!();
     }

@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
 use crate::dtype::DataType;
+use crate::kernel::Kernel;
 use crate::object::ObjId;
 use crate::ops::OpKind;
 
@@ -144,6 +145,12 @@ pub enum CmdValue {
 /// Per-element functional semantics of an element-wise `kind`, shared by
 /// every target (the paper's targets differ in *cost*, never in result).
 ///
+/// This is the reference statement of what each op means. Execution
+/// does not call it per element: each command resolves its
+/// `(kind, dtype)` once into a slice kernel, and
+/// `crates/core/tests/kernel_equivalence.rs` checks every kernel
+/// against this function on every element.
+///
 /// `inputs` holds the canonical stored values in operand order; the
 /// returned value is truncated to `dtype`'s canonical form. Fused kinds
 /// truncate their intermediate exactly as the eager pair would, so a
@@ -263,15 +270,11 @@ fn pick(cond: bool, x: i64, y: i64) -> i64 {
 // Batched execution plan (used by Device::exec_batch)
 // ---------------------------------------------------------------------
 
-/// One command lowered onto the batch's slot table. Each input carries
-/// a `from_local` flag: true when an earlier step in the batch writes
-/// that slot, so per-element execution must read the chunk-local
-/// intermediate instead of the object's pre-batch buffer. The step
-/// sequence is identical for every element, so the flag is static.
+/// One command lowered onto the batch's slot table, with its
+/// `(OpKind, DataType)` already resolved to a kernel.
 pub(crate) struct BatchStep {
-    pub kind: OpKind,
-    pub dtype: DataType,
-    pub ins: Vec<(usize, bool)>,
+    pub kernel: Kernel,
+    pub ins: Vec<usize>,
     pub dst: usize,
 }
 
@@ -284,32 +287,21 @@ pub(crate) fn batch_plan(
 ) -> (Vec<ObjId>, Vec<BatchStep>) {
     let mut slot_of: HashMap<ObjId, usize> = HashMap::new();
     let mut slots: Vec<ObjId> = Vec::new();
-    let slot = |id: ObjId, slots: &mut Vec<ObjId>, slot_of: &mut HashMap<ObjId, usize>| {
+    let mut slot = |id: ObjId| {
         *slot_of.entry(id).or_insert_with(|| {
             slots.push(id);
             slots.len() - 1
         })
     };
-    let mut written: std::collections::HashSet<usize> = std::collections::HashSet::new();
     let steps = cmds
         .iter()
         .map(|cmd| {
             let dst = cmd.dst.expect("batched commands write a destination");
-            let step = BatchStep {
-                kind: cmd.kind,
-                dtype: dtype_of(dst),
-                ins: cmd
-                    .inputs
-                    .iter()
-                    .map(|&id| {
-                        let s = slot(id, &mut slots, &mut slot_of);
-                        (s, written.contains(&s))
-                    })
-                    .collect(),
-                dst: slot(dst, &mut slots, &mut slot_of),
-            };
-            written.insert(step.dst);
-            step
+            BatchStep {
+                kernel: Kernel::resolve(cmd.kind, dtype_of(dst)),
+                ins: cmd.inputs.iter().map(|&id| slot(id)).collect(),
+                dst: slot(dst),
+            }
         })
         .collect();
     (slots, steps)
@@ -352,10 +344,9 @@ mod tests {
         ];
         let (slots, steps) = batch_plan(&cmds, |_| DataType::Int32);
         assert_eq!(slots, vec![a, b, t, d]);
-        assert_eq!(steps[0].ins, vec![(0, false), (1, false)]);
+        assert_eq!(steps[0].ins, vec![0, 1]);
         assert_eq!(steps[0].dst, 2);
-        // t was written by step 0, so step 1 reads the local value.
-        assert_eq!(steps[1].ins, vec![(2, true), (1, false)]);
+        assert_eq!(steps[1].ins, vec![2, 1]);
         assert_eq!(steps[1].dst, 3);
     }
 }

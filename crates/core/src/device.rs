@@ -897,12 +897,12 @@ impl Device {
     }
 
     /// Functionally executes a run of same-length validated commands in
-    /// one parallel sweep: each shard walks its element ranges once,
-    /// applying every command's per-element semantics in program order
-    /// against chunk-local intermediate buffers, then the chunk results
-    /// are stitched back into the destination objects. Bit-identical to
-    /// executing the commands one by one (same per-element order, same
-    /// truncation), but the operands stream through the cache once.
+    /// one parallel sweep: each shard walks its element range once, block
+    /// by block, running every command's resolved kernel over the block
+    /// in program order, in place in the destination objects.
+    /// Bit-identical to executing the commands one by one (every step is
+    /// positionwise, with the same truncation), but the operands stream
+    /// through the cache once.
     ///
     /// Requires every touched object to share the destination's shard
     /// map; mixed-map runs (the batcher groups by element count only)

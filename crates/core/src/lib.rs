@@ -60,6 +60,7 @@ pub mod config;
 pub mod device;
 pub mod dtype;
 pub mod error;
+mod kernel;
 pub mod metrics;
 pub mod model;
 pub mod object;

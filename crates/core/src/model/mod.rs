@@ -97,9 +97,10 @@ impl OpCost {
 /// [`target_model`]. [`crate::Device::issue`] consults the model for
 /// every command: `validate` gates it, `cost`/`energy` price it,
 /// `category`/`micro_cost` annotate its statistics and trace events.
-/// Functional semantics (`execute`) are shared by all targets — the
-/// simulator's core invariant is that every target computes the same
-/// values at different cost.
+/// Models price; they do not compute. Functional semantics live in
+/// [`crate::cmd::eval`], shared by all targets — the simulator's core
+/// invariant is that every target computes the same values at
+/// different cost.
 pub trait TargetModel: Send + Sync {
     /// The target this model prices.
     fn target(&self) -> PimTarget;
@@ -164,12 +165,6 @@ pub trait TargetModel: Send + Sync {
         layout: &ObjectLayout,
     ) -> f64 {
         self.cost(config, kind, dtype, layout).energy_mj
-    }
-
-    /// Functional per-element semantics of an element-wise `kind`.
-    /// Identical across targets by construction; see [`crate::cmd::eval`].
-    fn execute(&self, kind: OpKind, dtype: DataType, inputs: &[i64]) -> i64 {
-        crate::cmd::eval(kind, dtype, inputs)
     }
 
     /// Fig. 8 category the command is counted under.

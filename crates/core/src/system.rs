@@ -38,9 +38,11 @@ use pim_dram::exec;
 use pim_dram::{make_timing_model, CopyReplay, TimingBackend, TimingCounters, TimingModel};
 
 use crate::charge::{Charge, Part};
+use crate::cmd::BatchStep;
 use crate::config::{DeviceConfig, ShardPolicy, SimMode};
 use crate::dtype::{DataType, PimScalar};
 use crate::error::{PimError, Result};
+use crate::kernel::Kernel;
 use crate::model::OpCost;
 use crate::object::{ObjId, ObjectLayout};
 use crate::resource::ResourceManager;
@@ -260,6 +262,11 @@ impl Shard {
         self.rm.live_objects()
     }
 }
+
+/// Elements per block of a batched sweep: every step runs over one
+/// block before the next block starts, so a block of each slot stays
+/// cache-resident across the whole step list.
+const BATCH_BLOCK: usize = 1024;
 
 /// `total` split as evenly as possible into `n` parts; part `i` gets the
 /// remainder first so Σ parts = total.
@@ -626,6 +633,12 @@ impl PimSystem {
     /// in functional mode, their values are re-dealt by the
     /// destination's map. Returns the realigned byte total.
     ///
+    /// `(kind, dtype)` resolves once into a [`Kernel`] that writes each
+    /// shard's destination buffer in place. When every operand is
+    /// aligned this allocates nothing; an input that aliases the
+    /// destination is read from it block by block before each block is
+    /// overwritten. A failing command leaves the destination untouched.
+    ///
     /// # Errors
     ///
     /// [`PimError::UnknownObject`] for dead operands.
@@ -636,16 +649,12 @@ impl PimSystem {
         inputs: &[ObjId],
         dst: ObjId,
     ) -> Result<u64> {
-        let dst_map = self
-            .maps
-            .get(&dst.0)
-            .ok_or(PimError::UnknownObject(dst))?
-            .clone();
+        let dst_map = self.maps.get(&dst.0).ok_or(PimError::UnknownObject(dst))?;
         let mut realign_bytes = 0u64;
-        let mut rebuilt: Vec<Option<Vec<Vec<i64>>>> = vec![None; inputs.len()];
+        let mut rebuilt: [Option<Vec<Vec<i64>>>; 4] = Default::default();
         for (j, &id) in inputs.iter().enumerate() {
             let map = self.maps.get(&id.0).ok_or(PimError::UnknownObject(id))?;
-            if *map == dst_map {
+            if map == dst_map {
                 continue;
             }
             realign_bytes += self.meta.get(id)?.bytes();
@@ -661,83 +670,36 @@ impl PimSystem {
         if !self.functional {
             return Ok(realign_bytes);
         }
+        let kernel = Kernel::resolve(kind, dtype);
         let rebuilt = &rebuilt;
-        let dst_map = &dst_map;
-        // Steady-state ops write into the destination's existing buffer
-        // through the `par_*_into` primitives instead of allocating a
-        // fresh output per op — the dominant wall-clock cost at large
-        // element counts. When an input aliases the destination the
-        // buffer cannot be taken out from under the reads, so that
-        // (rare) shape keeps the allocate-then-swap path.
-        let aliased = inputs.contains(&dst);
         Self::on_shards(&mut self.shards, |s, shard| {
             let n = dst_map.count_on(s) as usize;
             if n == 0 {
                 return Ok(());
             }
-            let reuse = if aliased {
-                None
-            } else {
-                Some(shard.rm.get_mut(dst)?.data.take().unwrap_or_default())
-            };
-            let out = {
-                let mut ins: Vec<&[i64]> = Vec::with_capacity(inputs.len());
+            let mut out = shard.rm.get_mut(dst)?.data.take().unwrap_or_default();
+            let ran = (|| {
+                let mut ins: [Option<&[i64]>; 4] = [None; 4];
                 for (j, &id) in inputs.iter().enumerate() {
-                    ins.push(match &rebuilt[j] {
-                        Some(per) => &per[s],
-                        None => shard
-                            .rm
-                            .get(id)?
-                            .data
-                            .as_deref()
-                            .expect("functional object has data"),
-                    });
+                    ins[j] = match &rebuilt[j] {
+                        Some(per) => Some(&per[s]),
+                        None if id == dst => None,
+                        None => Some(
+                            shard
+                                .rm
+                                .get(id)?
+                                .data
+                                .as_deref()
+                                .expect("functional object has data"),
+                        ),
+                    };
                 }
-                match reuse {
-                    Some(mut buf) => {
-                        buf.resize(n, 0);
-                        match *ins.as_slice() {
-                            [a] => exec::par_map_into(a, &mut buf, |&x| {
-                                crate::cmd::eval(kind, dtype, &[x])
-                            }),
-                            [a, b] => exec::par_zip_map_into(a, b, &mut buf, |&x, &y| {
-                                crate::cmd::eval(kind, dtype, &[x, y])
-                            }),
-                            [a, b, c] => {
-                                exec::par_zip3_map_into(a, b, c, &mut buf, |&x, &y, &z| {
-                                    crate::cmd::eval(kind, dtype, &[x, y, z])
-                                })
-                            }
-                            [a, b, c, d] => {
-                                exec::par_zip4_map_into(a, b, c, d, &mut buf, |&x, &y, &z, &u| {
-                                    crate::cmd::eval(kind, dtype, &[x, y, z, u])
-                                })
-                            }
-                            _ => unreachable!("element-wise arity is 1..=4"),
-                        }
-                        buf
-                    }
-                    None => match *ins.as_slice() {
-                        [a] => exec::par_map(a, |&x| crate::cmd::eval(kind, dtype, &[x])),
-                        [a, b] => {
-                            exec::par_zip_map(a, b, |&x, &y| crate::cmd::eval(kind, dtype, &[x, y]))
-                        }
-                        [a, b, c] => exec::par_zip3_map(a, b, c, |&x, &y, &z| {
-                            crate::cmd::eval(kind, dtype, &[x, y, z])
-                        }),
-                        [a, b, c, d] => {
-                            let chunks = exec::par_chunks(a.len(), |r| {
-                                r.map(|i| crate::cmd::eval(kind, dtype, &[a[i], b[i], c[i], d[i]]))
-                                    .collect::<Vec<i64>>()
-                            });
-                            chunks.concat()
-                        }
-                        _ => unreachable!("element-wise arity is 1..=4"),
-                    },
-                }
-            };
+                out.resize(n, 0);
+                kernel.apply(&ins[..inputs.len()], &mut out);
+                Ok(())
+            })();
             shard.rm.get_mut(dst)?.data = Some(out);
-            Ok(())
+            ran
         })?;
         Ok(realign_bytes)
     }
@@ -940,76 +902,96 @@ impl PimSystem {
 
     /// Runs a batched sweep shard-locally. Requires every slot to share
     /// the destination's shard map (the device falls back to
-    /// per-command execution otherwise); each shard then runs the exact
-    /// chunk-local program of the unsharded batch over its own element
-    /// range, which is bit-identical because every step is positionwise.
+    /// per-command execution otherwise). Each shard takes the buffers of
+    /// the slots the batch writes, then walks its element range in
+    /// blocks of [`BATCH_BLOCK`], running every step's resolved kernel
+    /// over the block in program order, in place. That is per-command
+    /// execution restricted to one block at a time, so it is
+    /// bit-identical to it (every step is positionwise), while each
+    /// block's operands stay cache-resident across the steps.
     ///
     /// # Errors
     ///
-    /// [`PimError::UnknownObject`] if a written slot died mid-batch
-    /// (impossible for validated streams).
+    /// [`PimError::UnknownObject`] if a slot is not live on a shard; no
+    /// buffer changes in that case.
     pub(crate) fn exec_batch(
         &mut self,
         slots: &[ObjId],
-        steps: &[crate::cmd::BatchStep],
+        steps: &[BatchStep],
         dst0: ObjId,
     ) -> Result<()> {
         if !self.functional {
             return Ok(());
+        }
+        // `out_of[slot]` indexes the written buffers for written slots.
+        let mut out_of: Vec<Option<usize>> = vec![None; slots.len()];
+        let mut written: Vec<usize> = Vec::new();
+        for step in steps {
+            if out_of[step.dst].is_none() {
+                out_of[step.dst] = Some(written.len());
+                written.push(step.dst);
+            }
         }
         Self::on_shards(&mut self.shards, |_s, shard| {
             let n = match shard.rm.get(dst0) {
                 Ok(obj) => obj.count as usize,
                 Err(_) => return Ok(()),
             };
-            let finals: Vec<(ObjId, Vec<i64>)> = {
-                let initial: Vec<Option<&[i64]>> = slots
-                    .iter()
-                    .map(|&id| shard.rm.get(id).expect("validated").data.as_deref())
-                    .collect();
-                let chunk_results = exec::par_chunks(n, |r| {
-                    let (start, len) = (r.start, r.len());
-                    let mut local: Vec<Option<Vec<i64>>> = vec![None; slots.len()];
-                    for i in r {
-                        for step in steps {
-                            let mut args = [0i64; 4];
-                            for (j, &(slot, from_local)) in step.ins.iter().enumerate() {
-                                args[j] = if from_local {
-                                    local[slot].as_ref().expect("written by an earlier step")
-                                        [i - start]
-                                } else {
-                                    initial[slot].expect("functional object has data")[i]
-                                };
-                            }
-                            let v =
-                                crate::cmd::eval(step.kind, step.dtype, &args[..step.ins.len()]);
-                            local[step.dst].get_or_insert_with(|| vec![0; len])[i - start] = v;
+            for &id in slots {
+                shard.rm.get(id)?;
+            }
+            let mut bufs: Vec<Vec<i64>> = written
+                .iter()
+                .map(|&w| {
+                    let obj = shard.rm.get_mut(slots[w]).expect("checked above");
+                    let mut buf = obj.data.take().unwrap_or_default();
+                    buf.resize(n, 0);
+                    buf
+                })
+                .collect();
+            let read_only: Vec<Option<&[i64]>> = slots
+                .iter()
+                .zip(&out_of)
+                .map(|(&id, w)| match w {
+                    Some(_) => None,
+                    None => Some(
+                        shard
+                            .rm
+                            .get(id)
+                            .expect("checked above")
+                            .data
+                            .as_deref()
+                            .expect("functional object has data"),
+                    ),
+                })
+                .collect();
+            let mut parts: Vec<&mut [i64]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+            exec::par_chunks_mut(&mut parts, |r, outs| {
+                for lo in (r.start..r.end).step_by(BATCH_BLOCK) {
+                    let hi = (lo + BATCH_BLOCK).min(r.end);
+                    let local = lo - r.start..hi - r.start;
+                    for step in steps {
+                        let w = out_of[step.dst].expect("steps write their destination");
+                        let out = std::mem::take(&mut outs[w]);
+                        let mut ins: [Option<&[i64]>; 4] = [None; 4];
+                        for (arg, &slot) in ins.iter_mut().zip(&step.ins) {
+                            *arg = match (out_of[slot], read_only[slot]) {
+                                (Some(v), _) if v == w => None,
+                                (Some(v), _) => Some(&outs[v][local.clone()]),
+                                (None, data) => Some(&data.expect("read-only slot")[lo..hi]),
+                            };
                         }
-                    }
-                    local
-                });
-                let written: Vec<usize> = {
-                    let mut seen = std::collections::BTreeSet::new();
-                    steps
-                        .iter()
-                        .map(|s| s.dst)
-                        .filter(|&d| seen.insert(d))
-                        .collect()
-                };
-                let mut finals = Vec::with_capacity(written.len());
-                for s in written {
-                    let mut buf = Vec::with_capacity(n);
-                    for chunk in &chunk_results {
-                        buf.extend_from_slice(
-                            chunk[s].as_ref().expect("every chunk runs every step"),
+                        step.kernel.run_range(
+                            &ins[..step.ins.len()],
+                            0..hi - lo,
+                            &mut out[local.clone()],
                         );
+                        outs[w] = out;
                     }
-                    finals.push((slots[s], buf));
                 }
-                finals
-            };
-            for (id, buf) in finals {
-                shard.rm.get_mut(id)?.data = Some(buf);
+            });
+            for (&w, buf) in written.iter().zip(bufs) {
+                shard.rm.get_mut(slots[w])?.data = Some(buf);
             }
             Ok(())
         })

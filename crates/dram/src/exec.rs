@@ -1,12 +1,12 @@
 //! Std-only parallel execution engine for the simulator's hot paths.
 //!
 //! The functional simulator spends nearly all of its time in three loop
-//! shapes: element-wise maps over `i64` buffers (`Device::apply1/2`),
-//! host↔device conversion packing, and word-wide column sweeps in the
-//! bit-serial VM. This module gives all of them one chunked fan-out
-//! primitive running on a lazily-initialized **persistent work-stealing
-//! pool** ([`pool`]) — no third-party crates — sized by the
-//! `PIM_THREADS` environment variable (default:
+//! shapes: element-wise kernels over `i64` buffers, host↔device
+//! conversion packing, and word-wide column sweeps in the bit-serial
+//! VM. This module gives all of them one chunked fan-out primitive
+//! ([`par_chunks_mut`]) running on a lazily-initialized **persistent
+//! work-stealing pool** ([`pool`]) — no third-party crates — sized by
+//! the `PIM_THREADS` environment variable (default:
 //! [`std::thread::available_parallelism`]).
 //!
 //! # Scheduling
@@ -944,6 +944,43 @@ pub fn par_each_mut<T: Send, R: Send>(
         .collect()
 }
 
+/// The chunked in-place primitive: splits `0..len` of every buffer in
+/// `outs` (all `len` long) into the same contiguous chunks and runs
+/// `work(range, parts)` once per chunk, where `parts[k]` is buffer
+/// `k`'s sub-slice for that range. Chunks never overlap, so each
+/// chunk may read and write its own parts freely. With one worker (or
+/// a short input) this is exactly `work(0..len, outs)`.
+///
+/// # Panics
+///
+/// Panics if the buffers differ in length.
+pub fn par_chunks_mut<T: Send>(
+    outs: &mut [&mut [T]],
+    work: impl Fn(Range<usize>, &mut [&mut [T]]) + Sync,
+) {
+    let len = outs.first().map_or(0, |o| o.len());
+    assert!(
+        outs.iter().all(|o| o.len() == len),
+        "par_chunks_mut length mismatch"
+    );
+    let (lanes, chunks) = plan_weighted(len, 1);
+    if lanes <= 1 {
+        pool::note_sequential();
+        work(0..len, outs);
+        return;
+    }
+    let views: Vec<SharedSlice<T>> = outs.iter_mut().map(|o| SharedSlice::new(o)).collect();
+    pool::run(len, lanes, chunks, &|_, r| {
+        // SAFETY: chunk ranges partition 0..len, so every index of
+        // every buffer is touched by exactly one participant.
+        let mut parts: Vec<&mut [T]> = views
+            .iter()
+            .map(|v| unsafe { v.slice_mut(r.clone()) })
+            .collect();
+        work(r, &mut parts);
+    });
+}
+
 /// `out[i] = f(&src[i])` in parallel over disjoint chunks.
 ///
 /// # Panics
@@ -951,20 +988,8 @@ pub fn par_each_mut<T: Send, R: Send>(
 /// Panics if the slices differ in length.
 pub fn par_map_into<S: Sync, T: Send>(src: &[S], out: &mut [T], f: impl Fn(&S) -> T + Sync) {
     assert_eq!(src.len(), out.len(), "par_map_into length mismatch");
-    let (lanes, chunks) = plan_weighted(out.len(), 1);
-    if lanes <= 1 {
-        pool::note_sequential();
-        for (o, s) in out.iter_mut().zip(src) {
-            *o = f(s);
-        }
-        return;
-    }
-    let dst = SharedSlice::new(out);
-    pool::run(dst.len(), lanes, chunks, &|_, r| {
-        // SAFETY: chunk ranges partition 0..len; each output index is
-        // written by exactly one participant.
-        let oc = unsafe { dst.slice_mut(r.clone()) };
-        for (o, s) in oc.iter_mut().zip(&src[r]) {
+    par_chunks_mut(&mut [out], |r, o| {
+        for (o, s) in o[0].iter_mut().zip(&src[r]) {
             *o = f(s);
         }
     });
@@ -983,26 +1008,14 @@ pub fn par_zip_map_into<A: Sync, B: Sync, T: Send>(
 ) {
     assert_eq!(a.len(), b.len(), "par_zip_map_into length mismatch");
     assert_eq!(a.len(), out.len(), "par_zip_map_into length mismatch");
-    let (lanes, chunks) = plan_weighted(out.len(), 1);
-    if lanes <= 1 {
-        pool::note_sequential();
-        for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-            *o = f(x, y);
-        }
-        return;
-    }
-    let dst = SharedSlice::new(out);
-    pool::run(dst.len(), lanes, chunks, &|_, r| {
-        // SAFETY: chunk ranges partition 0..len (see par_map_into).
-        let oc = unsafe { dst.slice_mut(r.clone()) };
-        for ((o, x), y) in oc.iter_mut().zip(&a[r.clone()]).zip(&b[r]) {
+    par_chunks_mut(&mut [out], |r, o| {
+        for ((o, x), y) in o[0].iter_mut().zip(&a[r.clone()]).zip(&b[r]) {
             *o = f(x, y);
         }
     });
 }
 
-/// `out[i] = f(&a[i], &b[i], &c[i])` in parallel over disjoint chunks
-/// (the three-operand `select` shape).
+/// `out[i] = f(&a[i], &b[i], &c[i])` in parallel over disjoint chunks.
 ///
 /// # Panics
 ///
@@ -1017,19 +1030,8 @@ pub fn par_zip3_map_into<A: Sync, B: Sync, C: Sync, T: Send>(
     assert_eq!(a.len(), b.len(), "par_zip3_map_into length mismatch");
     assert_eq!(a.len(), c.len(), "par_zip3_map_into length mismatch");
     assert_eq!(a.len(), out.len(), "par_zip3_map_into length mismatch");
-    let (lanes, chunks) = plan_weighted(out.len(), 1);
-    if lanes <= 1 {
-        pool::note_sequential();
-        for (((o, x), y), z) in out.iter_mut().zip(a).zip(b).zip(c) {
-            *o = f(x, y, z);
-        }
-        return;
-    }
-    let dst = SharedSlice::new(out);
-    pool::run(dst.len(), lanes, chunks, &|_, r| {
-        // SAFETY: chunk ranges partition 0..len (see par_map_into).
-        let oc = unsafe { dst.slice_mut(r.clone()) };
-        for (((o, x), y), z) in oc
+    par_chunks_mut(&mut [out], |r, o| {
+        for (((o, x), y), z) in o[0]
             .iter_mut()
             .zip(&a[r.clone()])
             .zip(&b[r.clone()])
@@ -1038,89 +1040,6 @@ pub fn par_zip3_map_into<A: Sync, B: Sync, C: Sync, T: Send>(
             *o = f(x, y, z);
         }
     });
-}
-
-/// `out[i] = f(&a[i], &b[i], &c[i], &d[i])` in parallel over disjoint
-/// chunks (the four-operand fused `cmp_select` shape).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn par_zip4_map_into<A: Sync, B: Sync, C: Sync, D: Sync, T: Send>(
-    a: &[A],
-    b: &[B],
-    c: &[C],
-    d: &[D],
-    out: &mut [T],
-    f: impl Fn(&A, &B, &C, &D) -> T + Sync,
-) {
-    assert_eq!(a.len(), b.len(), "par_zip4_map_into length mismatch");
-    assert_eq!(a.len(), c.len(), "par_zip4_map_into length mismatch");
-    assert_eq!(a.len(), d.len(), "par_zip4_map_into length mismatch");
-    assert_eq!(a.len(), out.len(), "par_zip4_map_into length mismatch");
-    let (lanes, chunks) = plan_weighted(out.len(), 1);
-    if lanes <= 1 {
-        pool::note_sequential();
-        for ((((o, x), y), z), u) in out.iter_mut().zip(a).zip(b).zip(c).zip(d) {
-            *o = f(x, y, z, u);
-        }
-        return;
-    }
-    let dst = SharedSlice::new(out);
-    pool::run(dst.len(), lanes, chunks, &|_, r| {
-        // SAFETY: chunk ranges partition 0..len (see par_map_into).
-        let oc = unsafe { dst.slice_mut(r.clone()) };
-        for ((((o, x), y), z), u) in oc
-            .iter_mut()
-            .zip(&a[r.clone()])
-            .zip(&b[r.clone()])
-            .zip(&c[r.clone()])
-            .zip(&d[r])
-        {
-            *o = f(x, y, z, u);
-        }
-    });
-}
-
-/// Parallel map into a fresh buffer.
-pub fn par_map<S: Sync, T: Send + Default + Clone>(
-    src: &[S],
-    f: impl Fn(&S) -> T + Sync,
-) -> Vec<T> {
-    let mut out = vec![T::default(); src.len()];
-    par_map_into(src, &mut out, f);
-    out
-}
-
-/// Parallel zip-map into a fresh buffer.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn par_zip_map<A: Sync, B: Sync, T: Send + Default + Clone>(
-    a: &[A],
-    b: &[B],
-    f: impl Fn(&A, &B) -> T + Sync,
-) -> Vec<T> {
-    let mut out = vec![T::default(); a.len()];
-    par_zip_map_into(a, b, &mut out, f);
-    out
-}
-
-/// Parallel three-way zip-map into a fresh buffer.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn par_zip3_map<A: Sync, B: Sync, C: Sync, T: Send + Default + Clone>(
-    a: &[A],
-    b: &[B],
-    c: &[C],
-    f: impl Fn(&A, &B, &C) -> T + Sync,
-) -> Vec<T> {
-    let mut out = vec![T::default(); a.len()];
-    par_zip3_map_into(a, b, c, &mut out, f);
-    out
 }
 
 #[cfg(test)]
@@ -1183,7 +1102,10 @@ mod tests {
         let src: Vec<i64> = (0..100_000).map(|i| i * 7 - 50_000).collect();
         let seq: Vec<i64> = src.iter().map(|&x| x.wrapping_mul(3) ^ 1).collect();
         for threads in [1, 2, 8] {
-            let par = with_thread_count(threads, || par_map(&src, |&x| x.wrapping_mul(3) ^ 1));
+            let mut par = vec![0; src.len()];
+            with_thread_count(threads, || {
+                par_map_into(&src, &mut par, |&x| x.wrapping_mul(3) ^ 1)
+            });
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -1199,9 +1121,22 @@ mod tests {
             .zip(b.iter().zip(&c))
             .map(|(x, (y, z))| if *z != 0 { *x } else { *y })
             .collect();
-        let par2 = with_thread_count(4, || par_zip_map(&a, &b, |x, y| x - y));
-        let par3 = with_thread_count(4, || {
-            par_zip3_map(&c, &a, &b, |z, x, y| if *z != 0 { *x } else { *y })
+        let (mut par2, mut par3) = (vec![0; a.len()], vec![0; a.len()]);
+        with_thread_count(4, || par_zip_map_into(&a, &b, &mut par2, |x, y| x - y));
+        with_thread_count(4, || {
+            par_zip3_map_into(
+                &c,
+                &a,
+                &b,
+                &mut par3,
+                |z, x, y| {
+                    if *z != 0 {
+                        *x
+                    } else {
+                        *y
+                    }
+                },
+            )
         });
         assert_eq!(par2, seq2);
         assert_eq!(par3, seq3);

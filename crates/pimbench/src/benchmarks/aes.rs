@@ -154,8 +154,10 @@ impl SboxCircuit {
             dev.copy_object(src, fresh)?;
             *out = fresh;
         }
-        for (_, obj) in memo {
-            dev.free(obj)?;
+        // Free in ascending node order, not `HashMap` order, so the
+        // trace's same-timestamp `free` events are reproducible.
+        for n in &reachable {
+            dev.free(memo[n])?;
         }
         Ok(outputs)
     }
