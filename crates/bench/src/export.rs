@@ -116,7 +116,7 @@ impl ParallelRun {
 
 /// One command pipeline measured twice by `bench_parallel`: issued
 /// eagerly (one [`pimeval::Device::issue`] per call) and recorded
-/// through a [`pimeval::CommandStream`] whose flush runs the peephole
+/// through a [`pimeval::CommandStream`] whose flush runs the optimizer
 /// passes. Captures both host wall-clock and the modeled device cost so
 /// the export shows what fusion buys on each axis.
 #[derive(Debug, Clone)]
@@ -415,11 +415,11 @@ impl FidelityRun {
 }
 
 /// One optimizer comparison from `bench_parallel`: a command pipeline
-/// flushed at level 0 (the legacy adjacent-pair peephole) and at level
-/// 2 (dataflow graph fusion + CSE + placement), capturing both host
-/// wall-clock and modeled device cost. Workloads are chosen so the
-/// graph passes find rewrites — e.g. a recomputed K-means distance —
-/// that the adjacent-pair peephole structurally cannot express.
+/// flushed at level 0 (no rewriting, the eager program) and at level 1
+/// (dataflow graph fusion + CSE), capturing both host wall-clock and
+/// modeled device cost. Workloads are chosen so the graph passes find
+/// rewrites — e.g. a recomputed K-means distance — that need
+/// cross-command analysis.
 #[derive(Debug, Clone)]
 pub struct OptimizerRun {
     /// Pipeline label (`kmeans-dist-reuse`, …).
@@ -428,16 +428,16 @@ pub struct OptimizerRun {
     pub threads: usize,
     /// Elements processed per iteration.
     pub elems: u64,
-    /// Mean wall time per peephole (level 0) iteration, nanoseconds.
-    pub peephole_mean_ns: u128,
-    /// Best wall time per peephole iteration, nanoseconds.
-    pub peephole_min_ns: u128,
-    /// Mean wall time per dataflow (level 2) iteration, nanoseconds.
+    /// Mean wall time per eager (level 0) iteration, nanoseconds.
+    pub eager_mean_ns: u128,
+    /// Best wall time per eager iteration, nanoseconds.
+    pub eager_min_ns: u128,
+    /// Mean wall time per dataflow (level 1) iteration, nanoseconds.
     pub dataflow_mean_ns: u128,
     /// Best wall time per dataflow iteration, nanoseconds.
     pub dataflow_min_ns: u128,
-    /// Modeled device kernel time for one peephole pass, milliseconds.
-    pub peephole_modeled_ms: f64,
+    /// Modeled device kernel time for one eager pass, milliseconds.
+    pub eager_modeled_ms: f64,
     /// Modeled device kernel time for one dataflow pass, milliseconds.
     pub dataflow_modeled_ms: f64,
     /// CSE rewrites the dataflow pass performed per flush.
@@ -447,14 +447,14 @@ pub struct OptimizerRun {
 }
 
 impl OptimizerRun {
-    /// Modeled-cost ratio dataflow/peephole — ≤ 1.0 always (the graph
-    /// passes are gated to never cost more than the peephole), < 1.0
-    /// when a cross-command rewrite fired.
+    /// Modeled-cost ratio dataflow/eager — ≤ 1.0 always (the graph
+    /// passes are gated to never cost more than eager), < 1.0 when a
+    /// cross-command rewrite fired.
     pub fn modeled_cost_ratio(&self) -> f64 {
-        if self.peephole_modeled_ms == 0.0 {
+        if self.eager_modeled_ms == 0.0 {
             return 0.0;
         }
-        self.dataflow_modeled_ms / self.peephole_modeled_ms
+        self.dataflow_modeled_ms / self.eager_modeled_ms
     }
 
     /// Host wall-clock speedup of the dataflow path (best-time ratio),
@@ -463,25 +463,25 @@ impl OptimizerRun {
         if self.dataflow_min_ns == 0 {
             return 0.0;
         }
-        self.peephole_min_ns as f64 / self.dataflow_min_ns as f64
+        self.eager_min_ns as f64 / self.dataflow_min_ns as f64
     }
 
     fn to_json(&self) -> String {
         format!(
             "{{\"name\":{},\"threads\":{},\"elems\":{},\
-             \"peephole_mean_ns\":{},\"peephole_min_ns\":{},\
+             \"eager_mean_ns\":{},\"eager_min_ns\":{},\
              \"dataflow_mean_ns\":{},\"dataflow_min_ns\":{},\
-             \"peephole_modeled_ms\":{},\"dataflow_modeled_ms\":{},\
+             \"eager_modeled_ms\":{},\"dataflow_modeled_ms\":{},\
              \"modeled_cost_ratio\":{},\"wall_speedup\":{},\
              \"cse_hits\":{},\"graph_fusions\":{}}}",
             string(&self.name),
             self.threads,
             self.elems,
-            self.peephole_mean_ns,
-            self.peephole_min_ns,
+            self.eager_mean_ns,
+            self.eager_min_ns,
             self.dataflow_mean_ns,
             self.dataflow_min_ns,
-            num(self.peephole_modeled_ms),
+            num(self.eager_modeled_ms),
             num(self.dataflow_modeled_ms),
             num(self.modeled_cost_ratio()),
             num(self.wall_speedup()),
@@ -803,11 +803,11 @@ mod tests {
             name: "kmeans-dist-reuse".into(),
             threads: 1,
             elems: 1 << 16,
-            peephole_mean_ns: 2200,
-            peephole_min_ns: 2000,
+            eager_mean_ns: 2200,
+            eager_min_ns: 2000,
             dataflow_mean_ns: 1100,
             dataflow_min_ns: 1000,
-            peephole_modeled_ms: 8.0,
+            eager_modeled_ms: 8.0,
             dataflow_modeled_ms: 6.0,
             cse_hits: 4,
             graph_fusions: 2,
@@ -821,7 +821,7 @@ mod tests {
         assert_eq!(entries.len(), 1);
         let e = &entries[0];
         assert_eq!(e.get("name").unwrap().as_str(), Some("kmeans-dist-reuse"));
-        assert!((e.get("peephole_modeled_ms").unwrap().as_f64().unwrap() - 8.0).abs() < 1e-9);
+        assert!((e.get("eager_modeled_ms").unwrap().as_f64().unwrap() - 8.0).abs() < 1e-9);
         assert!((e.get("dataflow_modeled_ms").unwrap().as_f64().unwrap() - 6.0).abs() < 1e-9);
         assert!((e.get("modeled_cost_ratio").unwrap().as_f64().unwrap() - 0.75).abs() < 1e-9);
         assert_eq!(e.get("cse_hits").unwrap().as_f64(), Some(4.0));

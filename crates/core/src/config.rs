@@ -86,30 +86,22 @@ pub enum ShardPolicy {
     RoundRobin,
 }
 
-/// How hard the deferred [`crate::CommandStream`] optimizes a recorded
+/// Whether the deferred [`crate::CommandStream`] rewrites a recorded
 /// program at flush time (the `--opt` pimbench flag / `PIM_OPT` env).
 ///
-/// Every level is bit-identical to eager execution and never charges
-/// more modeled cost than the legacy peephole; the levels only differ
-/// in which rewrites they are allowed to discover.
+/// Both levels are bit-identical to eager execution and never charge
+/// more modeled cost than eager issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OptLevel {
-    /// Legacy peephole only: dead-write elimination plus adjacent-pair
-    /// mul+add / cmp+select fusion. Reproduces the historical stream
-    /// behavior exactly.
+    /// No rewriting: the flush validates, batches and executes exactly
+    /// the recorded commands, as eager issue would.
     O0,
     /// Dataflow optimizer (the default): builds the SSA-style command
-    /// graph and additionally runs cross-command fusion (non-adjacent
-    /// producer/consumer pairs) and value-numbering CSE with
-    /// whole-stream dead-object elimination.
+    /// graph and runs cross-command fusion (non-adjacent
+    /// producer/consumer pairs), value-numbering CSE and dead-write
+    /// elimination.
     #[default]
     O1,
-    /// Everything in level 1 plus cost-driven placement analysis: the
-    /// graph is partitioned into subgraphs, each priced against every
-    /// target model plus interconnect transfer cost, and per-object
-    /// layout / shard-policy inferences are reported (advisory — the
-    /// device target still executes, keeping results bit-identical).
-    O2,
 }
 
 /// Environment variable consulted by [`OptLevel::env_override`].
@@ -122,16 +114,24 @@ impl OptLevel {
         match s.trim() {
             "0" => Some(OptLevel::O0),
             "1" => Some(OptLevel::O1),
-            "2" => Some(OptLevel::O2),
             _ => None,
         }
     }
 
     /// Applies the `PIM_OPT` environment override, if set to a valid
-    /// level; otherwise returns `self` unchanged.
+    /// level; otherwise warns (once per process) and returns `self`
+    /// unchanged.
     pub fn env_override(self) -> OptLevel {
         match std::env::var(PIM_OPT_ENV) {
-            Ok(v) if !v.is_empty() => OptLevel::parse(&v).unwrap_or(self),
+            Ok(v) if !v.is_empty() => OptLevel::parse(&v).unwrap_or_else(|| {
+                static WARNED: std::sync::Once = std::sync::Once::new();
+                WARNED.call_once(|| {
+                    crate::pim_warn!(
+                        "ignoring unrecognized {PIM_OPT_ENV} level '{v}' (expected 0|1)"
+                    );
+                });
+                self
+            }),
             _ => self,
         }
     }
@@ -142,7 +142,6 @@ impl std::fmt::Display for OptLevel {
         match self {
             OptLevel::O0 => write!(f, "0"),
             OptLevel::O1 => write!(f, "1"),
-            OptLevel::O2 => write!(f, "2"),
         }
     }
 }
@@ -511,10 +510,10 @@ mod tests {
     fn opt_level_parses_and_displays() {
         assert_eq!(OptLevel::parse("0"), Some(OptLevel::O0));
         assert_eq!(OptLevel::parse(" 1 "), Some(OptLevel::O1));
-        assert_eq!(OptLevel::parse("2"), Some(OptLevel::O2));
+        assert_eq!(OptLevel::parse("2"), None);
         assert_eq!(OptLevel::parse("max"), None);
         assert_eq!(OptLevel::default(), OptLevel::O1);
-        assert_eq!(OptLevel::O2.to_string(), "2");
+        assert_eq!(OptLevel::O1.to_string(), "1");
         let cfg = DeviceConfig::new(PimTarget::Fulcrum, 1).with_opt_level(OptLevel::O0);
         assert_eq!(cfg.opt, OptLevel::O0);
     }

@@ -24,7 +24,7 @@ use crate::object::{ObjId, PimObject};
 use crate::ops::OpKind;
 use crate::resource::ResourceManager;
 use crate::stats::SimStats;
-use crate::stream::{CommandStream, FlushSummary, PlacementPlan};
+use crate::stream::{CommandStream, FlushSummary};
 use crate::system::PimSystem;
 use crate::trace::{
     CopyDirection, ProtocolCounters, TraceEvent, TraceSink, Tracer, DEFAULT_RECORDER_CAPACITY,
@@ -62,7 +62,6 @@ pub struct Device {
     clock_ms: f64,
     /// Reused buffer for charges' per-shard shares.
     spare_shares: Vec<(usize, Part)>,
-    last_plan: Option<PlacementPlan>,
 }
 
 impl Device {
@@ -80,7 +79,7 @@ impl Device {
         // `PIM_TIMING=analytical|fsm` overrides the configured timing
         // backend at device creation (unknown values are ignored).
         config.timing_backend = config.timing_backend.env_override();
-        // `PIM_OPT=0|1|2` overrides the stream optimization level the
+        // `PIM_OPT=0|1` overrides the stream optimization level the
         // same way.
         config.opt = config.opt.env_override();
         let system = PimSystem::new(&config)?;
@@ -102,7 +101,6 @@ impl Device {
             metrics,
             clock_ms: 0.0,
             spare_shares: Vec::new(),
-            last_plan: None,
         };
         dev.sync_resources();
         Ok(dev)
@@ -752,18 +750,6 @@ impl Device {
         CommandStream::new(self)
     }
 
-    /// The placement plan computed by the most recent level-2 stream
-    /// flush, if any. Advisory: execution stayed on the configured
-    /// target; the plan reports what a cost-driven cross-substrate
-    /// mapper would have chosen.
-    pub fn placement_plan(&self) -> Option<&PlacementPlan> {
-        self.last_plan.as_ref()
-    }
-
-    pub(crate) fn set_placement_plan(&mut self, plan: PlacementPlan) {
-        self.last_plan = Some(plan);
-    }
-
     /// Checks a command's shape against its [`OpKind`] contract and its
     /// operands against each other, in the same order the eager methods
     /// historically reported errors; finally asks the target model to
@@ -939,12 +925,7 @@ impl Device {
         f.dead_writes_eliminated += summary.dead_writes_eliminated;
         f.batched_sweeps += summary.batched_sweeps;
         f.batched_commands += summary.batched_commands;
-        let o = &mut self.stats.optimizer;
-        o.cse_hits += summary.cse_hits;
-        o.dead_objects_removed += summary.dead_objects_removed;
-        o.subgraphs += summary.subgraphs;
-        o.target_switches += summary.target_switches;
-        o.inferred_layouts += summary.inferred_layouts;
+        self.stats.optimizer.cse_hits += summary.cse_hits;
         if let Some(m) = &mut self.metrics {
             m.record_flush();
         }
@@ -1245,7 +1226,7 @@ impl Device {
     }
 
     /// `dst = (a OP b) ? x : y` in one fused pass — the explicit form of
-    /// what the [`CommandStream`] cmp+select peephole produces.
+    /// what the [`CommandStream`] cmp+select fusion produces.
     ///
     /// # Errors
     ///

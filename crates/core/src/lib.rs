@@ -88,7 +88,7 @@ pub use stats::{
     CmdStat, CopyStats, DramProtocolStats, FusionStats, InterconnectStats, OptimizerStats,
     ResourceStats, ShardResourceStats, SimStats,
 };
-pub use stream::{CommandStream, FlushSummary, PlacementPlan, SubgraphPlan};
+pub use stream::{CommandStream, FlushSummary};
 pub use system::{InterconnectModel, PimSystem, Shard, ShardMap, ShardRange};
 pub use trace::{CopyDirection, Recorder, TraceEvent, TraceSink, Tracer};
 

@@ -1,29 +1,26 @@
 //! The deferred command stream and its dataflow optimizer.
 //!
 //! [`CommandStream`] defers issue: commands are *recorded* and only run
-//! at [`CommandStream::flush`], which first optimizes the recorded
+//! at [`CommandStream::flush`], which may first rewrite the recorded
 //! program and then executes adjacent same-length element-wise commands
-//! in one batched parallel sweep. The optimization pipeline depends on
-//! the [`OptLevel`] (device config `opt`,
-//! `PIM_OPT` env, or [`CommandStream::set_opt`]):
+//! in one batched parallel sweep. Whether the program is rewritten
+//! depends on the [`OptLevel`] (device config `opt`, `PIM_OPT` env, or
+//! [`CommandStream::set_opt`]):
 //!
-//! * **Level 0** — the legacy peephole: dead-write elimination plus
-//!   adjacent-pair mul+add → [`OpKind::ScaledAdd`](crate::OpKind) and
-//!   cmp+select → [`OpKind::FusedCmpSelect`](crate::OpKind) fusion.
+//! * **Level 0** — no rewriting: exactly the recorded commands run.
 //! * **Level 1** (default) — builds the SSA-style dataflow graph
-//!   (`graph`) and runs the rewrites in `passes`: fusion across
-//!   non-adjacent commands, value-numbering CSE, and whole-stream
-//!   dead-object elimination.
-//! * **Level 2** — level 1 plus [`place`]: subgraph partitioning with
-//!   cost-driven target, layout, and shard-policy inference (advisory;
-//!   see [`crate::Device::placement_plan`]).
+//!   (`graph`) and runs the rewrites in `passes`: mul+add →
+//!   [`OpKind::ScaledAdd`](crate::OpKind) and cmp+select →
+//!   [`OpKind::FusedCmpSelect`](crate::OpKind) fusion across
+//!   non-adjacent commands, value-numbering CSE, and dead-write
+//!   elimination.
 //!
-//! Functional results are bit-identical to eager issue at every level
+//! Functional results are bit-identical to eager issue at both levels
 //! (fusion preserves per-element semantics including intermediate
 //! truncation; CSE only replaces values that are provably already
-//! materialized), and the charged cost is never higher than the legacy
-//! peephole's, because rewrites only remove commands or substitute a
-//! copy the cost model prices no higher.
+//! materialized), and the charged cost is never higher than eager
+//! issue's, because rewrites only remove commands or substitute a copy
+//! the cost model prices no higher.
 //!
 //! One documented deviation: a temporary that only carried a fused-away
 //! intermediate (the product of a `mul_scalar` or a comparison bitmap)
@@ -42,7 +39,6 @@
 
 pub(crate) mod graph;
 pub(crate) mod passes;
-pub mod place;
 
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
@@ -53,8 +49,6 @@ use crate::error::Result;
 use crate::object::ObjId;
 use crate::ops::OpKind;
 use crate::pim_debug;
-
-pub use place::{PlacementPlan, SubgraphPlan};
 
 /// What one [`CommandStream::flush`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,18 +67,9 @@ pub struct FlushSummary {
     pub batched_sweeps: u64,
     /// Commands executed inside those sweeps.
     pub batched_commands: u64,
-    /// Value-numbering CSE hits (levels 1+): recomputes deleted or
+    /// Value-numbering CSE hits (level 1): recomputes deleted or
     /// rewritten to copies.
     pub cse_hits: u64,
-    /// Commands the graph pipeline removed as dead (levels 1+).
-    pub dead_objects_removed: u64,
-    /// Placement subgraphs priced (level 2).
-    pub subgraphs: u64,
-    /// Adjacent placement subgraphs assigned different targets (level 2).
-    pub target_switches: u64,
-    /// Objects whose placement-inferred layout differs from their
-    /// current layout (level 2).
-    pub inferred_layouts: u64,
 }
 
 /// A deferred command recorder bound to one device.
@@ -288,11 +273,11 @@ impl<'d> CommandStream<'d> {
 
     /// Optimizes and executes everything recorded since the last flush.
     ///
-    /// Pass order: validation of every recorded command, then the
-    /// level's optimization pipeline (see the module docs), then — at
-    /// level 2 — the placement analysis, then execution: runs of two or
-    /// more adjacent commands over objects with the same element count
-    /// go through one batched parallel sweep; the rest execute singly.
+    /// Pass order: validation of every recorded command, then — at
+    /// level 1 — the rewrites (see the module docs), then execution:
+    /// runs of two or more adjacent commands over objects with the same
+    /// element count go through one batched parallel sweep; the rest
+    /// execute singly.
     /// Each executed command is charged to the cost model exactly as an
     /// eager issue would be. The passes therefore only ever see
     /// well-formed commands, and a command they would eliminate still
@@ -311,10 +296,9 @@ impl<'d> CommandStream<'d> {
             self.dev.validate_cmd(cmd)?;
         }
         let recorded = cmds.len() as u64;
-        let level = self.opt_level();
-        let outcome = match level {
-            OptLevel::O0 => passes::run_peephole(self.dev, &mut cmds),
-            OptLevel::O1 | OptLevel::O2 => passes::run_graph(self.dev, &mut cmds),
+        let outcome = match self.opt_level() {
+            OptLevel::O0 => passes::PassOutcome::default(),
+            OptLevel::O1 => passes::run_graph(self.dev, &mut cmds),
         };
         let mut summary = FlushSummary {
             recorded,
@@ -323,16 +307,8 @@ impl<'d> CommandStream<'d> {
             fused_cmp_select: outcome.fused_cmp_select,
             dead_writes_eliminated: outcome.dead_writes_eliminated,
             cse_hits: outcome.cse_hits,
-            dead_objects_removed: outcome.dead_objects_removed,
             ..FlushSummary::default()
         };
-        if level == OptLevel::O2 {
-            let plan = place::plan(self.dev, &cmds);
-            summary.subgraphs = plan.subgraphs.len() as u64;
-            summary.target_switches = plan.target_switches;
-            summary.inferred_layouts = plan.inferred_layouts;
-            self.dev.set_placement_plan(plan);
-        }
         let counts: Vec<Option<u64>> = cmds
             .iter()
             .map(|c| c.dst.and_then(|d| self.dev.object(d).ok().map(|o| o.count)))

@@ -153,21 +153,11 @@ pub fn stats_to_json_full(
         f.batched_sweeps,
         f.batched_commands
     );
-    // The dataflow optimizer populates these only at stream levels 1+;
-    // the section is omitted when all counters are zero so eager-only
-    // goldens stay byte-identical.
+    // Only CSE hits at stream level 1 populate this; the section is
+    // omitted while it is zero so eager-only goldens stay byte-identical.
     let opt = &stats.optimizer;
     if !opt.is_empty() {
-        let _ = writeln!(
-            out,
-            "  \"optimizer\": {{\"cse_hits\": {}, \"dead_objects_removed\": {}, \
-             \"subgraphs\": {}, \"target_switches\": {}, \"inferred_layouts\": {}}},",
-            opt.cse_hits,
-            opt.dead_objects_removed,
-            opt.subgraphs,
-            opt.target_switches,
-            opt.inferred_layouts
-        );
+        let _ = writeln!(out, "  \"optimizer\": {{\"cse_hits\": {}}},", opt.cse_hits);
     }
     let r = &stats.resources;
     out.push_str("  \"resources\": {");

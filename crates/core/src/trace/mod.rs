@@ -207,7 +207,7 @@ pub enum TraceEvent {
         time_ms: f64,
     },
     /// A [`crate::stream::CommandStream`] flush: instantaneous marker with
-    /// the peephole-pass counters for this flush (the executed commands
+    /// the optimizer-pass counters for this flush (the executed commands
     /// emit their own [`TraceEvent::Cmd`] spans).
     StreamFlush {
         /// Simulated timestamp.

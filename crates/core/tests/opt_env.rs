@@ -22,15 +22,25 @@ fn pim_opt_env_overrides_configured_level() {
     let base = || DeviceConfig::new(PimTarget::Fulcrum, 1);
     assert_eq!(opt_under(None, base()), OptLevel::O1, "default is level 1");
     assert_eq!(opt_under(Some("0"), base()), OptLevel::O0);
-    assert_eq!(opt_under(Some("2"), base()), OptLevel::O2);
+    assert_eq!(opt_under(Some("1"), base()), OptLevel::O1);
     assert_eq!(
-        opt_under(Some("2"), base().with_opt_level(OptLevel::O0)),
-        OptLevel::O2,
+        opt_under(Some("1"), base().with_opt_level(OptLevel::O0)),
+        OptLevel::O1,
         "env wins over the configured level"
     );
     assert_eq!(
-        opt_under(Some("turbo"), base().with_opt_level(OptLevel::O2)),
-        OptLevel::O2,
+        opt_under(Some("0"), base().with_opt_level(OptLevel::O1)),
+        OptLevel::O0,
+        "env wins over the configured level"
+    );
+    assert_eq!(
+        opt_under(Some("turbo"), base().with_opt_level(OptLevel::O0)),
+        OptLevel::O0,
         "unknown values are ignored"
+    );
+    assert_eq!(
+        opt_under(Some("2"), base().with_opt_level(OptLevel::O0)),
+        OptLevel::O0,
+        "the removed level 2 is an unknown value"
     );
 }

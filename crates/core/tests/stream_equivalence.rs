@@ -274,19 +274,11 @@ fn check_level_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
     stream.lt(x, y, mask).select(mask, x, y, out);
     let summary = stream.flush().unwrap();
     drop(stream);
-    // This program fuses identically at every level (the pairs are
-    // adjacent), so the counters are level-invariant.
-    assert_eq!(summary.fused_scaled_add, 1, "{target:?} opt {level}");
-    assert_eq!(summary.fused_cmp_select, 1, "{target:?} opt {level}");
-    assert_eq!(summary.executed, 2, "{target:?} opt {level}");
-    if level == OptLevel::O2 {
-        assert!(summary.subgraphs >= 1, "{target:?}: no placement subgraphs");
-        let plan = dev.placement_plan().expect("level 2 retains a plan");
-        assert_eq!(plan.subgraphs.len() as u64, summary.subgraphs);
-    } else {
-        assert_eq!(summary.subgraphs, 0, "{target:?} opt {level}");
-        assert!(dev.placement_plan().is_none());
-    }
+    // Level 0 runs the program as recorded; level 1 fuses both pairs.
+    let fused = u64::from(level == OptLevel::O1);
+    assert_eq!(summary.fused_scaled_add, fused, "{target:?} opt {level}");
+    assert_eq!(summary.fused_cmp_select, fused, "{target:?} opt {level}");
+    assert_eq!(summary.executed, 4 - 2 * fused, "{target:?} opt {level}");
 
     let streamed_y: Vec<T> = dev.to_vec(y).unwrap();
     let streamed_out: Vec<T> = dev.to_vec(out).unwrap();
@@ -308,7 +300,7 @@ fn check_level_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
 #[test]
 fn every_opt_level_matches_eager_on_every_target_and_dtype() {
     for (i, target) in TARGETS.into_iter().enumerate() {
-        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+        for level in [OptLevel::O0, OptLevel::O1] {
             let seed = 0x0127 + i as u64;
             check_level_equivalence::<i8>(target, level, seed);
             check_level_equivalence::<i32>(target, level, seed);
@@ -318,12 +310,120 @@ fn every_opt_level_matches_eager_on_every_target_and_dtype() {
     }
 }
 
+/// Issues `program` eagerly and through a stream at each level on fresh
+/// `target` devices; checks that neither level fuses anything and that
+/// every buffer and the modeled kernel time equal eager issue's.
+/// `program` receives `[x, y, t, u, d, a8, b8, m8]`: five int32 objects
+/// and three int8 objects of the same length.
+fn check_unfusable_program(
+    target: PimTarget,
+    case: &str,
+    program: impl Fn(&[pimeval::ObjId]) -> Vec<PimCommand>,
+) {
+    let n = 64;
+    let (xs, ys) = data::<i32>(n, 0xF05E);
+    let (a8, b8) = data::<i8>(n, 0x8B17);
+    let setup = |dev: &mut Device| {
+        let x = dev.alloc_vec(&xs).unwrap();
+        let mut ids = vec![x, dev.alloc_vec(&ys).unwrap()];
+        for _ in 0..3 {
+            ids.push(dev.alloc_associated(x, DataType::Int32).unwrap());
+        }
+        ids.push(dev.alloc_vec(&a8).unwrap());
+        ids.push(dev.alloc_vec(&b8).unwrap());
+        ids.push(dev.alloc_associated(x, DataType::Int8).unwrap());
+        ids
+    };
+    let buffers = |dev: &mut Device, ids: &[pimeval::ObjId]| {
+        let wide: Vec<Vec<i32>> = ids[..5].iter().map(|&o| dev.to_vec(o).unwrap()).collect();
+        let narrow: Vec<Vec<i8>> = ids[5..].iter().map(|&o| dev.to_vec(o).unwrap()).collect();
+        (wide, narrow)
+    };
+
+    let mut eager = device(target);
+    let ids = setup(&mut eager);
+    for cmd in program(&ids) {
+        eager.issue(cmd).unwrap();
+    }
+    let want = buffers(&mut eager, &ids);
+    let eager_ms = eager.stats().kernel_time_ms();
+
+    for level in [OptLevel::O0, OptLevel::O1] {
+        let mut dev = device(target);
+        let ids = setup(&mut dev);
+        let mut stream = dev.stream();
+        stream.set_opt(level);
+        for cmd in program(&ids) {
+            stream.record(cmd);
+        }
+        let summary = stream.flush().unwrap();
+        drop(stream);
+        let tag = format!("{case}: {target:?} opt {level}");
+        assert_eq!(summary.fused_scaled_add, 0, "{tag}");
+        assert_eq!(summary.fused_cmp_select, 0, "{tag}");
+        assert_eq!(summary.executed, summary.recorded, "{tag}");
+        assert_eq!(buffers(&mut dev, &ids), want, "{tag}");
+        let ms = dev.stats().kernel_time_ms();
+        assert!(
+            (ms - eager_ms).abs() <= eager_ms * 1e-12,
+            "{tag}: {ms} ms vs {eager_ms} ms"
+        );
+    }
+}
+
+#[test]
+fn fusion_legality_guards_keep_eager_semantics() {
+    use pimeval::pim_microcode::gen::{BinaryOp, CmpOp};
+    use pimeval::ObjId;
+    fn add(a: ObjId, b: ObjId, d: ObjId) -> PimCommand {
+        PimCommand::elementwise2(OpKind::Binary(BinaryOp::Add), a, b, d)
+    }
+    fn xor(a: ObjId, b: ObjId, d: ObjId) -> PimCommand {
+        PimCommand::elementwise2(OpKind::Binary(BinaryOp::Xor), a, b, d)
+    }
+    fn mul_k(a: ObjId, d: ObjId) -> PimCommand {
+        PimCommand::elementwise1(OpKind::BinaryScalar(BinaryOp::Mul, 3), a, d)
+    }
+    fn lt(a: ObjId, b: ObjId, d: ObjId) -> PimCommand {
+        PimCommand::elementwise2(OpKind::Cmp(CmpOp::Lt), a, b, d)
+    }
+    for target in TARGETS {
+        // `t + t` doubles the product; it is not `x * k + t`.
+        check_unfusable_program(target, "t + t", |o| {
+            vec![mul_k(o[0], o[2]), add(o[2], o[2], o[4])]
+        });
+        // The product is read again after the add, so it must be written.
+        check_unfusable_program(target, "product read later", |o| {
+            vec![
+                mul_k(o[0], o[2]),
+                add(o[2], o[1], o[4]),
+                xor(o[2], o[1], o[3]),
+            ]
+        });
+        // The mask is also select's `x` operand.
+        check_unfusable_program(target, "mask as select operand", |o| {
+            vec![
+                lt(o[0], o[1], o[2]),
+                PimCommand::select(o[2], o[2], o[1], o[4]),
+            ]
+        });
+        // An int8 compare feeding an int32 select: the fused command
+        // would evaluate both halves under one dtype.
+        check_unfusable_program(target, "cross-dtype cmp/select", |o| {
+            vec![
+                lt(o[5], o[6], o[7]),
+                PimCommand::select(o[7], o[0], o[1], o[4]),
+            ]
+        });
+    }
+}
+
 #[test]
 fn cse_rewrites_repeated_subexpressions_to_copies() {
     // The same subexpression computed twice into different objects: the
-    // dataflow optimizer must rewrite the recomputes into copies (the
-    // adjacent-pair peephole cannot see this), with bit-identical
-    // buffers and strictly less modeled kernel time than level 0.
+    // dataflow optimizer must rewrite the recomputes into copies, with
+    // bit-identical buffers and strictly less modeled kernel time than
+    // level 0.
     let (xs, ys) = data::<i32>(512, 0xC5E);
     let program = |dev: &mut Device, level: OptLevel| {
         let x = dev.alloc_vec(&xs).unwrap();
@@ -357,7 +457,7 @@ fn cse_rewrites_repeated_subexpressions_to_copies() {
     let opt_ms = dev.stats().kernel_time_ms();
     assert!(
         opt_ms < base_ms,
-        "CSE must strictly beat the peephole: {opt_ms} ms vs {base_ms} ms"
+        "CSE must strictly beat eager: {opt_ms} ms vs {base_ms} ms"
     );
     // The optimizer section reaches the report and the stats JSON.
     assert!(dev.report().contains("Dataflow Optimizer Stats"));
@@ -405,11 +505,9 @@ fn host_visible_reads_are_cse_barriers() {
 
 #[test]
 fn ten_thousand_command_stream_flushes_linearly() {
-    // Regression for the old O(n²) `never_read_later` tail rescan: a
-    // 10k-command stream must flush in linear time at every level. The
-    // program reuses one temporary across 5 000 mul+add pairs — the
-    // object-granular peephole liveness refuses to fuse (the temp is
-    // re-read every iteration), while the SSA graph proves each
+    // A 10k-command stream must flush in linear time at every level.
+    // The program reuses one temporary across 5 000 mul+add pairs: the
+    // temp is re-read every iteration, but the SSA graph proves each
     // product has exactly one consumer and fuses all of them.
     let n = 64usize;
     let (xs, ys) = data::<i32>(n, 0x10_000);
@@ -448,53 +546,16 @@ fn ten_thousand_command_stream_flushes_linearly() {
 
     let (s0, out0, ms0) = run(OptLevel::O0);
     assert_eq!(s0.recorded, 10_000);
-    // The temp is re-read by every later iteration, so the peephole
-    // only fuses the final pair (where the tail rescan finds no reads).
-    assert_eq!(s0.fused_scaled_add, 1);
-    assert_eq!(s0.executed, 9_999);
+    assert_eq!(s0.fused_scaled_add, 0, "level 0 does not rewrite");
+    assert_eq!(s0.executed, 10_000);
     assert_eq!(out0, eager_out);
-    assert!(ms0 <= eager_ms * (1.0 + 1e-12));
+    assert!((ms0 - eager_ms).abs() <= eager_ms * 1e-12);
 
     let (s1, out1, ms1) = run(OptLevel::O1);
     assert_eq!(s1.fused_scaled_add, 5_000, "SSA liveness fuses every pair");
     assert_eq!(s1.executed, 5_000);
     assert_eq!(out1, eager_out);
-    assert!(ms1 < ms0, "graph fusion must strictly beat the peephole");
-}
-
-#[test]
-fn placement_plan_reports_subgraphs_and_layouts() {
-    // Two disjoint dataflow components flush as two placement
-    // subgraphs; layouts are inferred per winning target and the plan
-    // survives on the device for inspection.
-    let (xs, ys) = data::<i32>(512, 0x9A7);
-    let mut dev = device(PimTarget::BitSerial);
-    let x = dev.alloc_vec(&xs).unwrap();
-    let y = dev.alloc_vec(&ys).unwrap();
-    let a = dev.alloc_associated(x, DataType::Int32).unwrap();
-    let p = dev.alloc_vec(&ys).unwrap();
-    let q = dev.alloc_vec(&xs).unwrap();
-    let b = dev.alloc_associated(p, DataType::Int32).unwrap();
-    let mut stream = dev.stream();
-    stream.set_opt(OptLevel::O2);
-    stream.add(x, y, a); // component 1
-    stream.mul(p, q, b); // component 2 (no shared objects)
-    let summary = stream.flush().unwrap();
-    drop(stream);
-    assert_eq!(summary.subgraphs, 2);
-    let plan = dev.placement_plan().unwrap().clone();
-    assert_eq!(plan.subgraphs.len(), 2);
-    for sg in &plan.subgraphs {
-        assert!(!sg.commands.is_empty());
-        assert!(!sg.layouts.is_empty());
-        assert!(sg.est_kernel_ms >= 0.0);
-    }
-    // Results are unaffected by the (advisory) plan.
-    let mut expect = Vec::with_capacity(xs.len());
-    for i in 0..xs.len() {
-        expect.push(xs[i].wrapping_add(ys[i]));
-    }
-    assert_eq!(dev.to_vec::<i32>(a).unwrap(), expect);
+    assert!(ms1 < ms0, "graph fusion must strictly beat eager");
 }
 
 #[test]
@@ -549,7 +610,7 @@ fn check_flush_error_matches_eager(
     let ids = setup(&mut eager);
     let want = eager.issue(bad(&ids)).unwrap_err();
 
-    for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+    for level in [OptLevel::O0, OptLevel::O1] {
         let mut dev = device(PimTarget::Fulcrum);
         let ids = setup(&mut dev);
         let before = dev.stats().clone();

@@ -4,7 +4,7 @@
 //! ```text
 //! pimbench [--bench <name>|all|extensions] [--target <t>|all]
 //!          [--ranks N] [--shards N] [--timing analytical|fsm]
-//!          [--opt 0|1|2] [--scale F] [--seed S] [--threads N]
+//!          [--opt 0|1] [--scale F] [--seed S] [--threads N]
 //!          [--stream] [--report] [--trace <file>] [--stats-json <file>]
 //!          [--metrics-json <file>] [--profile]
 //! ```
@@ -39,10 +39,10 @@
 //! The `PIM_TIMING` environment variable, when set, wins over the flag.
 //!
 //! `--opt <level>` selects the command-stream optimization level for
-//! `--stream` runs: `0` (legacy adjacent-pair peephole), `1` (dataflow
-//! graph fusion + CSE, the default), or `2` (level 1 plus cost-driven
-//! placement planning). Results are bit-identical at every level. The
-//! `PIM_OPT` environment variable, when set, wins over the flag.
+//! `--stream` runs: `0` (no rewriting: the recorded commands run as
+//! issued) or `1` (dataflow graph fusion + CSE, the default). Results
+//! are bit-identical at both levels. The `PIM_OPT` environment
+//! variable, when set, wins over the flag.
 
 use pimbench::{all_benchmarks, extension_benchmarks, Benchmark, Params};
 use pimeval::metrics::METRICS_SCHEMA_VERSION;
@@ -170,7 +170,7 @@ fn parse() -> Result<Cli, String> {
                     "pimbench --bench <name>|all|extensions --target \
                      bitserial|fulcrum|bank|analog|upmem|all|extended \
                      [--ranks N] [--shards N] [--timing analytical|fsm] \
-                     [--opt 0|1|2] [--scale F] [--seed S] [--threads N] \
+                     [--opt 0|1] [--scale F] [--seed S] [--threads N] \
                      [--stream] [--report] [--trace <file>] \
                      [--stats-json <file>] [--metrics-json <file>] \
                      [--profile]"
