@@ -6,6 +6,8 @@
 //! the device's single simulated clock. No sink computes its own share
 //! or keeps its own clock, so they cannot drift apart.
 
+use std::sync::Arc;
+
 use pim_dram::TimingCounters;
 
 use crate::model::OpCost;
@@ -17,9 +19,9 @@ use crate::trace::{CopyDirection, MicroCounters, ProtocolCounters};
 #[derive(Debug)]
 pub(crate) enum ChargeKind {
     /// One PIM command (or ranged reduction) and its statistics key,
-    /// e.g. `add.int32`, built once per charge.
+    /// e.g. `add.int32`, interned per device.
     Cmd {
-        name: String,
+        name: Arc<str>,
         category: OpCategory,
         micro: Option<MicroCounters>,
     },

@@ -11,6 +11,9 @@
 //! re-aggregated; cross-shard traffic is charged to the interconnect
 //! ledger separately from kernel time.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
 use crate::charge::{Charge, ChargeKind, InterconnectKind, Part};
@@ -62,6 +65,9 @@ pub struct Device {
     clock_ms: f64,
     /// Reused buffer for charges' per-shard shares.
     spare_shares: Vec<(usize, Part)>,
+    /// Interned statistics keys (`add.int32`), one per key
+    /// [`SimStats::cmds`] holds, so charging a command allocates none.
+    stat_names: HashMap<(OpKind, DataType), Arc<str>>,
 }
 
 impl Device {
@@ -101,6 +107,7 @@ impl Device {
             metrics,
             clock_ms: 0.0,
             spare_shares: Vec::new(),
+            stat_names: HashMap::new(),
         };
         dev.sync_resources();
         Ok(dev)
@@ -192,7 +199,7 @@ impl Device {
 
     /// Refreshes the resource snapshot in [`SimStats`] from the system.
     fn sync_resources(&mut self) {
-        self.stats.resources = self.system.resource_stats();
+        self.system.write_resource_stats(&mut self.stats.resources);
     }
 
     /// Renders the artifact-style statistics report.
@@ -532,7 +539,7 @@ impl Device {
                 category,
                 micro,
             } => TraceEvent::Cmd {
-                name,
+                name: name.to_string(),
                 category: category.label(),
                 start_ms,
                 time_ms,
@@ -682,7 +689,7 @@ impl Device {
             None if self.tracer.enabled() => model::micro_cost(config, kind, dtype, &layout),
             _ => None,
         };
-        let name = kind.stat_name(dtype);
+        let name = self.stat_name(kind, dtype);
         pim_trace!(
             "cmd {name}: {:.6} ms on {} cores",
             cost.time_ms,
@@ -699,6 +706,14 @@ impl Device {
         charge.shares = self.shares_of(costed, charge.whole);
         self.post(charge);
         Ok(())
+    }
+
+    /// The interned statistics key of `kind` on `dtype`.
+    fn stat_name(&mut self, kind: OpKind, dtype: DataType) -> Arc<str> {
+        self.stat_names
+            .entry((kind.stat_key(), dtype))
+            .or_insert_with(|| kind.stat_name(dtype).into())
+            .clone()
     }
 
     // ------------------------------------------------------------------

@@ -66,6 +66,7 @@ pub mod model;
 pub mod object;
 pub mod ops;
 pub mod resource;
+mod slot;
 pub mod stats;
 pub mod stream;
 pub mod system;

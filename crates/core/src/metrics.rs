@@ -42,6 +42,7 @@
 use std::collections::BTreeMap;
 
 use crate::charge::{Charge, ChargeKind, Part};
+use crate::ops::OpCategory;
 use crate::trace::json::{num, string};
 
 /// Fixed-point scale for histogram bucketing: values are multiplied by
@@ -216,25 +217,40 @@ pub struct InstrumentSet {
 impl InstrumentSet {
     /// Adds `delta` to the named monotonic counter.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        // Look up by `&str` first: a key is allocated only on first use.
+        let c = match self.counters.get_mut(name) {
+            Some(c) => c,
+            None => self.counters.entry(name.to_string()).or_insert(0),
+        };
+        *c += delta;
     }
 
     /// Sets the named gauge to `value`.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = value,
+            None => {
+                self.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Adds `delta` to the named gauge (starting from 0).
     pub fn gauge_add(&mut self, name: &str, delta: f64) {
-        *self.gauges.entry(name.to_string()).or_insert(0.0) += delta;
+        let g = match self.gauges.get_mut(name) {
+            Some(g) => g,
+            None => self.gauges.entry(name.to_string()).or_insert(0.0),
+        };
+        *g += delta;
     }
 
     /// Records one observation into the named histogram.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        let h = match self.histograms.get_mut(name) {
+            Some(h) => h,
+            None => self.histograms.entry(name.to_string()).or_default(),
+        };
+        h.record(value);
     }
 
     /// The named counter's value (0 if never touched).
@@ -389,6 +405,28 @@ impl ProfileSnapshot {
     }
 }
 
+/// The per-category command counter key, `cmds.<category label>`.
+fn cmds_key(category: OpCategory) -> &'static str {
+    match category {
+        OpCategory::Add => "cmds.add",
+        OpCategory::Sub => "cmds.sub",
+        OpCategory::Mul => "cmds.mul",
+        OpCategory::Bit => "cmds.bit",
+        OpCategory::Shift => "cmds.shift",
+        OpCategory::Max => "cmds.max",
+        OpCategory::Min => "cmds.min",
+        OpCategory::Or => "cmds.or",
+        OpCategory::And => "cmds.and",
+        OpCategory::Xor => "cmds.xor",
+        OpCategory::Less => "cmds.less",
+        OpCategory::Eq => "cmds.eq",
+        OpCategory::Reduction => "cmds.reduction",
+        OpCategory::Broadcast => "cmds.broadcast",
+        OpCategory::Popcount => "cmds.popcount",
+        OpCategory::Abs => "cmds.abs",
+    }
+}
+
 /// The sharded metrics registry a [`crate::Device`] records into.
 ///
 /// See the module docs for the instrument taxonomy and the determinism
@@ -404,6 +442,9 @@ pub struct MetricsRegistry {
     device: InstrumentSet,
     shards: Vec<InstrumentSet>,
     profile: Option<ProfileRecorder>,
+    /// Scratch buffer the per-command latency key is built in, so a
+    /// charge allocates no key after the key's first use.
+    key: String,
 }
 
 impl MetricsRegistry {
@@ -415,6 +456,7 @@ impl MetricsRegistry {
             device: InstrumentSet::default(),
             shards: vec![InstrumentSet::default(); shards.max(1)],
             profile: profile.then(ProfileRecorder::default),
+            key: String::new(),
         }
     }
 
@@ -432,12 +474,14 @@ impl MetricsRegistry {
         let d = &mut self.device;
         match &charge.kind {
             ChargeKind::Cmd { name, category, .. } => {
-                let category = category.label();
                 d.counter_add("cmds", 1);
-                d.counter_add(&format!("cmds.{category}"), 1);
+                d.counter_add(cmds_key(*category), 1);
                 d.gauge_add("kernel_energy_mj", energy_mj);
                 d.observe("op_latency_ms", time_ms);
-                d.observe(&format!("op_latency_ms.{name}"), time_ms);
+                self.key.clear();
+                self.key.push_str("op_latency_ms.");
+                self.key.push_str(name);
+                d.observe(&self.key, time_ms);
                 let whole = [(0, charge.whole)];
                 let shares = if charge.shares.is_empty() {
                     &whole[..]
@@ -622,10 +666,16 @@ mod tests {
     use super::*;
     use crate::charge::InterconnectKind;
     use crate::model::OpCost;
-    use crate::ops::OpCategory;
     use crate::trace::json::Json;
     use crate::trace::CopyDirection;
     use pim_dram::TimingCounters;
+
+    #[test]
+    fn category_keys_match_their_labels() {
+        for c in OpCategory::ALL {
+            assert_eq!(cmds_key(c), format!("cmds.{}", c.label()));
+        }
+    }
 
     #[test]
     fn histogram_quantiles_bracket_observations() {

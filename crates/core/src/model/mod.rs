@@ -57,11 +57,15 @@ impl CostMemo {
         generate: impl FnOnce() -> Cost,
     ) -> Cost {
         let map = self.map.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(c) = map.lock().unwrap().get(&key) {
+        // A poisoned lock means a generator panicked mid-insert on
+        // another thread; the memo is only a cache, but that panic is a
+        // bug, so surface it.
+        let poisoned = "cost memo lock poisoned by a panicking generator";
+        if let Some(c) = map.lock().expect(poisoned).get(&key) {
             return *c;
         }
         let cost = generate();
-        let mut guard = map.lock().unwrap();
+        let mut guard = map.lock().expect(poisoned);
         if guard.len() >= Self::CAP {
             guard.clear();
         }

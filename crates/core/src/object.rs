@@ -7,8 +7,25 @@ use crate::dtype::DataType;
 use crate::error::{PimError, Result};
 
 /// Opaque handle to a PIM data object (the `PimObjId` of the C API).
+///
+/// Internally `(generation << 32) | slot` of the resource manager's slot
+/// table: a freed handle never aliases the object that reuses its slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjId(pub(crate) u64);
+
+impl ObjId {
+    pub(crate) fn from_parts(slot: u32, generation: u32) -> ObjId {
+        ObjId((u64::from(generation) << 32) | u64::from(slot))
+    }
+
+    pub(crate) fn slot(self) -> usize {
+        self.0 as u32 as usize
+    }
+
+    pub(crate) fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
 
 impl fmt::Display for ObjId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

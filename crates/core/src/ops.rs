@@ -196,6 +196,20 @@ impl OpKind {
         }
     }
 
+    /// `self` with every immediate its [`OpKind::stat_name`] omits zeroed,
+    /// so kinds that share a statistics key compare equal.
+    pub(crate) fn stat_key(self) -> OpKind {
+        match self {
+            OpKind::BinaryScalar(b, _) => OpKind::BinaryScalar(b, 0),
+            OpKind::CmpScalar(c, _) => OpKind::CmpScalar(c, 0),
+            OpKind::MinScalar(_) => OpKind::MinScalar(0),
+            OpKind::MaxScalar(_) => OpKind::MaxScalar(0),
+            OpKind::ScaledAdd(_) => OpKind::ScaledAdd(0),
+            OpKind::Broadcast(_) => OpKind::Broadcast(0),
+            kind => kind,
+        }
+    }
+
     /// Statistics key in the artifact's style, e.g. `add.int32`.
     pub fn stat_name(&self, dtype: DataType) -> String {
         let base = match self {

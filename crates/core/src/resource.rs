@@ -1,12 +1,11 @@
 //! PIM resource manager: object allocation, association, and capacity
 //! tracking (§V-A "PIM Resource Mgr").
 
-use std::collections::BTreeMap;
-
 use crate::config::{DeviceConfig, SimMode};
 use crate::dtype::DataType;
 use crate::error::{PimError, Result};
 use crate::object::{ObjId, ObjectLayout, PimObject};
+use crate::slot::SlotTable;
 
 /// Tracks live objects and device row capacity.
 ///
@@ -16,10 +15,13 @@ use crate::object::{ObjId, ObjectLayout, PimObject};
 /// rows on one core than a core has. Narrow objects are assumed to pack
 /// round-robin across cores, which matches PIMeval's simple allocator
 /// (§V-E notes its allocation strategy is approximate).
+///
+/// Objects live in a generational slot table: a freed object's slot is
+/// reused last-in first-out by the next allocation under a new
+/// [`ObjId`], and the freed id stays [`PimError::UnknownObject`].
 #[derive(Debug)]
 pub struct ResourceManager {
-    objects: BTreeMap<u64, PimObject>,
-    next_id: u64,
+    objects: SlotTable<PimObject>,
     /// Row-core units in use (Σ rows_per_core × cores_used).
     rows_in_use: u64,
     /// Rows one core can hold.
@@ -45,8 +47,7 @@ impl ResourceManager {
             ))
         })?;
         Ok(ResourceManager {
-            objects: BTreeMap::new(),
-            next_id: 0,
+            objects: SlotTable::default(),
             rows_in_use: 0,
             rows_per_core,
             rows_capacity,
@@ -81,25 +82,29 @@ impl ResourceManager {
                 rows_available: self.rows_capacity,
             });
         }
-        let id = ObjId(self.next_id);
-        self.next_id += 1;
-        self.rows_in_use += units;
-        self.peak_rows = self.peak_rows.max(self.rows_in_use);
+        self.account(&layout);
         let data = match config.mode {
             SimMode::Functional => Some(vec![0i64; count as usize]),
             SimMode::ModelOnly => None,
         };
-        self.objects.insert(
-            id.0,
-            PimObject {
-                id,
-                dtype,
-                count,
-                layout,
-                data,
-            },
-        );
-        Ok(id)
+        Ok(self.insert(dtype, count, layout, data))
+    }
+
+    /// Stores a new object in the next free slot.
+    fn insert(
+        &mut self,
+        dtype: DataType,
+        count: u64,
+        layout: ObjectLayout,
+        data: Option<Vec<i64>>,
+    ) -> ObjId {
+        self.objects.insert_with(|id| PimObject {
+            id,
+            dtype,
+            count,
+            layout,
+            data,
+        })
     }
 
     /// Allocates an object associated with `reference`: same element
@@ -129,10 +134,7 @@ impl ResourceManager {
     ///
     /// [`PimError::UnknownObject`] if the ID is not live.
     pub fn free(&mut self, id: ObjId) -> Result<()> {
-        let obj = self
-            .objects
-            .remove(&id.0)
-            .ok_or(PimError::UnknownObject(id))?;
+        let obj = self.objects.remove(id).ok_or(PimError::UnknownObject(id))?;
         self.rows_in_use -= obj.layout.rows_per_core * obj.layout.cores_used as u64;
         Ok(())
     }
@@ -143,7 +145,7 @@ impl ResourceManager {
     ///
     /// [`PimError::UnknownObject`] if the ID is not live.
     pub fn get(&self, id: ObjId) -> Result<&PimObject> {
-        self.objects.get(&id.0).ok_or(PimError::UnknownObject(id))
+        self.objects.get(id).ok_or(PimError::UnknownObject(id))
     }
 
     /// Mutably borrows an object.
@@ -152,9 +154,7 @@ impl ResourceManager {
     ///
     /// [`PimError::UnknownObject`] if the ID is not live.
     pub fn get_mut(&mut self, id: ObjId) -> Result<&mut PimObject> {
-        self.objects
-            .get_mut(&id.0)
-            .ok_or(PimError::UnknownObject(id))
+        self.objects.get_mut(id).ok_or(PimError::UnknownObject(id))
     }
 
     /// Number of live objects.
@@ -182,20 +182,27 @@ impl ResourceManager {
         self.rows_per_core
     }
 
-    /// The ID the next allocation will receive (without claiming it).
-    /// The sharded allocator uses this to assign one global ID across
-    /// the metadata catalog and every shard-local manager.
-    pub(crate) fn peek_next_id(&self) -> u64 {
-        self.next_id
+    /// Commits a pre-validated object in the next free slot, without
+    /// re-running the capacity checks, and returns its id.
+    ///
+    /// This is the catalog half of the sharded allocator's two-phase
+    /// alloc: the caller has already run every capacity check (for the
+    /// catalog and for each shard), then mirrors the returned id into
+    /// each shard with [`ResourceManager::install`]. The catalog never
+    /// materializes data.
+    pub(crate) fn commit(&mut self, dtype: DataType, count: u64, layout: ObjectLayout) -> ObjId {
+        self.account(&layout);
+        self.insert(dtype, count, layout, None)
     }
 
-    /// Installs a pre-validated object under an externally chosen ID.
+    /// Installs a pre-validated object at the slot of an id the catalog
+    /// issued ([`ResourceManager::commit`]). `materialize` controls
+    /// whether a zeroed functional buffer is attached.
     ///
-    /// This is the commit half of the sharded allocator's two-phase
-    /// alloc: the caller has already run every capacity check (for the
-    /// catalog and for each shard), so `install` only updates the
-    /// accounting and inserts the object. `materialize` controls whether
-    /// a zeroed functional buffer is attached.
+    /// # Panics
+    ///
+    /// If the id's slot is live on this manager: slots are reused, so
+    /// overwriting one would silently drop another object.
     pub(crate) fn install(
         &mut self,
         id: ObjId,
@@ -204,13 +211,9 @@ impl ResourceManager {
         layout: ObjectLayout,
         materialize: bool,
     ) {
-        debug_assert!(!self.objects.contains_key(&id.0), "install over live id");
-        self.next_id = self.next_id.max(id.0 + 1);
-        self.rows_in_use += layout.rows_per_core * layout.cores_used as u64;
-        self.peak_rows = self.peak_rows.max(self.rows_in_use);
         let data = materialize.then(|| vec![0i64; count as usize]);
-        self.objects.insert(
-            id.0,
+        self.objects.install(
+            id,
             PimObject {
                 id,
                 dtype,
@@ -219,6 +222,13 @@ impl ResourceManager {
                 data,
             },
         );
+        self.account(&layout);
+    }
+
+    /// Charges `layout`'s row-core units to the usage counters.
+    fn account(&mut self, layout: &ObjectLayout) {
+        self.rows_in_use += layout.rows_per_core * layout.cores_used as u64;
+        self.peak_rows = self.peak_rows.max(self.rows_in_use);
     }
 }
 
@@ -371,6 +381,60 @@ mod tests {
         assert_eq!(rm.rows_in_use(), 0);
         assert_eq!(rm.live_objects(), 0);
         assert_eq!(rm.peak_rows(), last_peak);
+    }
+
+    #[test]
+    fn reused_slot_gets_a_new_id_and_the_stale_id_stays_dead() {
+        let config = cfg();
+        let mut rm =
+            ResourceManager::new(config.rows_per_core(), config.core_count() as u64).unwrap();
+        let a = rm.alloc(&config, 64, DataType::Int32, None).unwrap();
+        rm.free(a).unwrap();
+        let b = rm.alloc(&config, 64, DataType::Int8, None).unwrap();
+        assert_eq!(b.slot(), a.slot(), "the freed slot is reused");
+        assert_ne!(b, a);
+        assert_eq!(rm.get(b).unwrap().id, b);
+        let in_use = rm.rows_in_use();
+        assert!(matches!(rm.get(a), Err(PimError::UnknownObject(id)) if id == a));
+        assert!(matches!(rm.get_mut(a), Err(PimError::UnknownObject(id)) if id == a));
+        assert!(matches!(rm.free(a), Err(PimError::UnknownObject(id)) if id == a));
+        assert_eq!(rm.get(b).unwrap().dtype, DataType::Int8, "b is untouched");
+        assert_eq!((rm.live_objects(), rm.rows_in_use()), (1, in_use));
+    }
+
+    #[test]
+    fn table_grows_with_peak_live_objects_not_with_allocations() {
+        let config = cfg();
+        let mut rm =
+            ResourceManager::new(config.rows_per_core(), config.core_count() as u64).unwrap();
+        let mut rng = Rng(0x5107);
+        let mut live: Vec<ObjId> = Vec::new();
+        let mut peak = 0;
+        for _ in 0..100_000 {
+            if live.is_empty() || (live.len() < 16 && rng.next() & 1 == 0) {
+                live.push(rm.alloc(&config, 8, DataType::Int8, None).unwrap());
+                peak = peak.max(live.len());
+            } else {
+                let victim = live.swap_remove((rng.next() % live.len() as u64) as usize);
+                rm.free(victim).unwrap();
+            }
+        }
+        assert!(
+            rm.objects.slots() <= peak,
+            "{} slots for a peak of {peak} live objects",
+            rm.objects.slots()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "install over live")]
+    fn installing_over_a_live_slot_panics() {
+        let config = cfg();
+        let mut rm =
+            ResourceManager::new(config.rows_per_core(), config.core_count() as u64).unwrap();
+        let a = rm.alloc(&config, 64, DataType::Int32, None).unwrap();
+        let layout = rm.get(a).unwrap().layout;
+        rm.install(a, DataType::Int32, 64, layout, false);
     }
 
     #[test]

@@ -32,8 +32,6 @@
 //! to the aggregate) while interconnect time/energy is accounted
 //! *separately* and never folded into kernel time.
 
-use std::collections::BTreeMap;
-
 use pim_dram::exec;
 use pim_dram::{make_timing_model, CopyReplay, TimingBackend, TimingCounters, TimingModel};
 
@@ -46,6 +44,7 @@ use crate::kernel::Kernel;
 use crate::model::OpCost;
 use crate::object::{ObjId, ObjectLayout};
 use crate::resource::ResourceManager;
+use crate::slot::SlotTable;
 use crate::stats::{ResourceStats, ShardResourceStats, SimStats};
 
 /// One contiguous run of global element indices resident on one shard.
@@ -305,11 +304,15 @@ pub(crate) fn par_sum(data: &[i64], dtype: DataType) -> i128 {
 /// the cost model charges against), the per-shard state, the per-object
 /// [`ShardMap`]s, and the [`InterconnectModel`]. With `shards = 1` the
 /// system is an exact pass-through to the legacy single-manager device.
+///
+/// The catalog issues every [`ObjId`]; each shard manager and the
+/// shard-map table store their entry at the catalog's slot, so one id
+/// resolves everywhere by index.
 #[derive(Debug)]
 pub struct PimSystem {
     meta: ResourceManager,
     shards: Vec<Shard>,
-    maps: BTreeMap<u64, ShardMap>,
+    maps: SlotTable<ShardMap>,
     policy: ShardPolicy,
     interconnect: InterconnectModel,
     functional: bool,
@@ -353,7 +356,7 @@ impl PimSystem {
         Ok(PimSystem {
             meta,
             shards,
-            maps: BTreeMap::new(),
+            maps: SlotTable::default(),
             policy: config.shard_policy,
             interconnect: InterconnectModel::from_config(config),
             functional: matches!(config.mode, SimMode::Functional),
@@ -382,17 +385,17 @@ impl PimSystem {
 
     /// The shard map of a live object, if any.
     pub fn shard_map(&self, id: ObjId) -> Option<&ShardMap> {
-        self.maps.get(&id.0)
+        self.maps.get(id)
     }
 
     /// True when both `reference` and every id in `ids` are live and
     /// share the exact same shard map (so shard-local buffers align
     /// positionwise and no realignment traffic is needed).
     pub(crate) fn maps_equal(&self, ids: &[ObjId], reference: ObjId) -> bool {
-        let Some(rmap) = self.maps.get(&reference.0) else {
+        let Some(rmap) = self.maps.get(reference) else {
             return false;
         };
-        ids.iter().all(|id| self.maps.get(&id.0) == Some(rmap))
+        ids.iter().all(|&id| self.maps.get(id) == Some(rmap))
     }
 
     // ------------------------------------------------------------------
@@ -402,8 +405,9 @@ impl PimSystem {
     /// Two-phase sharded allocation: computes the global layout, runs
     /// every capacity check (catalog first, then each shard) in the
     /// legacy error order, and only then commits the object everywhere
-    /// under one global id. The catalog entry never materializes data;
-    /// functional buffers live in the per-shard objects.
+    /// under the id the catalog issues, installed at the same slot in
+    /// every shard holding a range. The catalog entry never materializes
+    /// data; functional buffers live in the per-shard objects.
     ///
     /// # Errors
     ///
@@ -479,8 +483,7 @@ impl PimSystem {
                 units_per_core: lupc,
             });
         }
-        let id = ObjId(self.meta.peek_next_id());
-        self.meta.install(id, dtype, count, layout, false);
+        let id = self.meta.commit(dtype, count, layout);
         for (s, local) in locals.into_iter().enumerate() {
             if let Some(l) = local {
                 self.shards[s]
@@ -488,7 +491,7 @@ impl PimSystem {
                     .install(id, dtype, map.count_on(s), l, self.functional);
             }
         }
-        self.maps.insert(id.0, map);
+        self.maps.install(id, map);
         Ok(id)
     }
 
@@ -503,7 +506,7 @@ impl PimSystem {
             // Shards with no range of this object never installed it.
             let _ = shard.rm.free(id);
         }
-        self.maps.remove(&id.0);
+        self.maps.remove(id);
         Ok(())
     }
 
@@ -543,7 +546,7 @@ impl PimSystem {
     /// model-only mode.
     pub(crate) fn gather_full(&self, id: ObjId) -> Result<Vec<i64>> {
         let count = self.meta.get(id)?.count as usize;
-        let map = self.maps.get(&id.0).ok_or(PimError::UnknownObject(id))?;
+        let map = self.maps.get(id).ok_or(PimError::UnknownObject(id))?;
         let mut out = vec![0i64; count];
         for r in &map.ranges {
             let obj = self.shards[r.shard].rm.get(id)?;
@@ -565,7 +568,7 @@ impl PimSystem {
     ///
     /// As [`PimSystem::gather_full`].
     pub(crate) fn gather_to_host<T: PimScalar>(&self, id: ObjId, out: &mut [T]) -> Result<()> {
-        let map = self.maps.get(&id.0).ok_or(PimError::UnknownObject(id))?;
+        let map = self.maps.get(id).ok_or(PimError::UnknownObject(id))?;
         for r in &map.ranges {
             let obj = self.shards[r.shard].rm.get(id)?;
             let data = obj
@@ -598,11 +601,7 @@ impl PimSystem {
         if !self.functional {
             return Ok(());
         }
-        let map = self
-            .maps
-            .get(&id.0)
-            .ok_or(PimError::UnknownObject(id))?
-            .clone();
+        let map = self.maps.get(id).ok_or(PimError::UnknownObject(id))?;
         for (s, shard) in self.shards.iter_mut().enumerate() {
             let c = map.count_on(s) as usize;
             if c == 0 {
@@ -649,11 +648,11 @@ impl PimSystem {
         inputs: &[ObjId],
         dst: ObjId,
     ) -> Result<u64> {
-        let dst_map = self.maps.get(&dst.0).ok_or(PimError::UnknownObject(dst))?;
+        let dst_map = self.maps.get(dst).ok_or(PimError::UnknownObject(dst))?;
         let mut realign_bytes = 0u64;
         let mut rebuilt: [Option<Vec<Vec<i64>>>; 4] = Default::default();
         for (j, &id) in inputs.iter().enumerate() {
-            let map = self.maps.get(&id.0).ok_or(PimError::UnknownObject(id))?;
+            let map = self.maps.get(id).ok_or(PimError::UnknownObject(id))?;
             if map == dst_map {
                 continue;
             }
@@ -713,8 +712,8 @@ impl PimSystem {
     ///
     /// [`PimError::UnknownObject`] for dead operands.
     pub(crate) fn copy_data(&mut self, src: ObjId, dst: ObjId) -> Result<u64> {
-        let src_map = self.maps.get(&src.0).ok_or(PimError::UnknownObject(src))?;
-        let dst_map = self.maps.get(&dst.0).ok_or(PimError::UnknownObject(dst))?;
+        let src_map = self.maps.get(src).ok_or(PimError::UnknownObject(src))?;
+        let dst_map = self.maps.get(dst).ok_or(PimError::UnknownObject(dst))?;
         if src_map == dst_map {
             if self.functional && src != dst {
                 Self::on_shards(&mut self.shards, |_s, shard| {
@@ -807,7 +806,7 @@ impl PimSystem {
     ///
     /// [`PimError::UnknownObject`].
     pub(crate) fn red_sum(&self, a: ObjId, dtype: DataType) -> Result<i128> {
-        let map = self.maps.get(&a.0).ok_or(PimError::UnknownObject(a))?;
+        let map = self.maps.get(a).ok_or(PimError::UnknownObject(a))?;
         let mut total = 0i128;
         for r in &map.ranges {
             let obj = self.shards[r.shard].rm.get(a)?;
@@ -831,7 +830,7 @@ impl PimSystem {
     ///
     /// [`PimError::UnknownObject`].
     pub(crate) fn red_extreme(&self, a: ObjId, dtype: DataType, want_min: bool) -> Result<i64> {
-        let map = self.maps.get(&a.0).ok_or(PimError::UnknownObject(a))?;
+        let map = self.maps.get(a).ok_or(PimError::UnknownObject(a))?;
         let keep_first = |x: i64, y: i64| {
             let ord = dtype.compare(x, y);
             if if want_min { ord.is_le() } else { ord.is_ge() } {
@@ -882,7 +881,7 @@ impl PimSystem {
         start: u64,
         end: u64,
     ) -> Result<i128> {
-        let map = self.maps.get(&a.0).ok_or(PimError::UnknownObject(a))?;
+        let map = self.maps.get(a).ok_or(PimError::UnknownObject(a))?;
         let mut total = 0i128;
         for r in &map.ranges {
             let s = start.max(r.start);
@@ -1009,24 +1008,15 @@ impl PimSystem {
             .unwrap_or_default()
     }
 
-    /// Shards holding at least one element of `costed`, ascending; shard
-    /// 0 when unmapped or single-shard (whole-device attribution).
-    fn holders_of(&self, costed: ObjId) -> Vec<usize> {
-        if self.shards.len() > 1 {
-            if let Some(map) = self.maps.get(&costed.0) {
-                let holders: Vec<usize> = map
-                    .counts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(s, _)| s)
-                    .collect();
-                if !holders.is_empty() {
-                    return holders;
-                }
-            }
+    /// Per-shard element counts of `costed` for attributing a charge:
+    /// its map's counts, or `[1]` (whole device, on shard 0) when it is
+    /// unmapped or the device has one shard. A free function over the
+    /// map table so callers can borrow the shards mutably meanwhile.
+    fn holder_counts(maps: &SlotTable<ShardMap>, shards: usize, costed: ObjId) -> &[u64] {
+        match maps.get(costed) {
+            Some(map) if shards > 1 => &map.counts,
+            _ => &[1],
         }
-        vec![0]
     }
 
     /// Prices one command through the timing backends of every shard
@@ -1047,7 +1037,8 @@ impl PimSystem {
     {
         let mut agg: Option<OpCost> = None;
         let mut delta = TimingCounters::default();
-        for s in self.holders_of(costed) {
+        let counts = Self::holder_counts(&self.maps, self.shards.len(), costed);
+        for (s, _) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
             let shard = &mut self.shards[s];
             let before = shard.timing.counters();
             let cost = price(shard.timing.as_mut());
@@ -1084,7 +1075,8 @@ impl PimSystem {
         let mut time_ms: Option<f64> = None;
         let mut replay: Option<CopyReplay> = None;
         let mut delta = TimingCounters::default();
-        for s in self.holders_of(obj) {
+        let counts = Self::holder_counts(&self.maps, self.shards.len(), obj);
+        for (s, _) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
             let shard = &mut self.shards[s];
             let t = shard.timing.charge_host_copy(represented_bytes, ranks);
             time_ms = Some(match time_ms {
@@ -1132,7 +1124,7 @@ impl PimSystem {
         if self.shards.len() <= 1 {
             return;
         }
-        let Some(map) = self.maps.get(&id.0) else {
+        let Some(map) = self.maps.get(id) else {
             return;
         };
         let Some(last) = map.counts.iter().rposition(|&c| c > 0) else {
@@ -1188,7 +1180,7 @@ impl PimSystem {
             return (0, 0);
         };
         let bpe = (obj.dtype.bits() as u64 / 8).max(1);
-        match self.maps.get(&id.0) {
+        match self.maps.get(id) {
             Some(map) => {
                 let max_c = map.counts.iter().copied().max().unwrap_or(0);
                 (max_c * bpe, obj.count * bpe)
@@ -1197,30 +1189,24 @@ impl PimSystem {
         }
     }
 
-    /// Snapshot of catalog-level and per-shard resource usage
-    /// (per-shard rows are populated only when more than one shard
-    /// exists).
-    pub(crate) fn resource_stats(&self) -> ResourceStats {
-        let per_shard = if self.shards.len() > 1 {
-            self.shards
-                .iter()
-                .map(|s| ShardResourceStats {
+    /// Refreshes `out` with catalog-level and per-shard resource usage
+    /// in place (per-shard rows are populated only when more than one
+    /// shard exists; their buffer is reused).
+    pub(crate) fn write_resource_stats(&self, out: &mut ResourceStats) {
+        out.rows_in_use = self.meta.rows_in_use();
+        out.peak_rows = self.meta.peak_rows();
+        out.rows_capacity = self.meta.rows_capacity();
+        out.live_objects = self.meta.live_objects() as u64;
+        out.shards = self.shards.len() as u64;
+        out.per_shard.clear();
+        if self.shards.len() > 1 {
+            out.per_shard
+                .extend(self.shards.iter().map(|s| ShardResourceStats {
                     rows_in_use: s.rm.rows_in_use(),
                     peak_rows: s.rm.peak_rows(),
                     rows_capacity: s.rm.rows_capacity(),
                     live_objects: s.rm.live_objects() as u64,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        ResourceStats {
-            rows_in_use: self.meta.rows_in_use(),
-            peak_rows: self.meta.peak_rows(),
-            rows_capacity: self.meta.rows_capacity(),
-            live_objects: self.meta.live_objects() as u64,
-            shards: self.shards.len() as u64,
-            per_shard,
+                }));
         }
     }
 

@@ -243,6 +243,49 @@ fn error_paths() {
     ));
 }
 
+/// A freed handle stays dead after the next allocation reuses its slot:
+/// every entry point rejects it with `UnknownObject` and leaves both the
+/// object now in that slot and the statistics untouched.
+#[test]
+fn stale_handle_stays_dead_after_its_slot_is_reused() {
+    use pimeval::pim_microcode::gen::BinaryOp;
+    use pimeval::{OpKind, PimCommand};
+    let stale =
+        |r: Result<(), PimError>, a| matches!(r, Err(PimError::UnknownObject(id)) if id == a);
+    for shards in [1, 4] {
+        let config = pimeval::DeviceConfig::new(PimTarget::Fulcrum, 4).with_shards(shards);
+        let mut dev = Device::new(config).unwrap();
+        let data: Vec<i32> = (0..4096).collect();
+        let keep = dev.alloc_vec(&data).unwrap();
+        let a = dev.alloc_vec(&data).unwrap();
+        dev.free(a).unwrap();
+        // The last freed slot is reused first, so `b` takes `a`'s slot.
+        let b = dev.alloc_vec(&vec![7i32; 4096]).unwrap();
+        assert_ne!(a, b);
+        let before = dev.stats().clone();
+        let add = |x, y, dst| PimCommand::elementwise2(OpKind::Binary(BinaryOp::Add), x, y, dst);
+        assert!(
+            stale(dev.issue(add(a, keep, b)).map(drop), a),
+            "shards={shards}"
+        );
+        assert!(
+            stale(dev.issue(add(keep, keep, a)).map(drop), a),
+            "shards={shards}"
+        );
+        let mut out = vec![0i32; 4096];
+        assert!(stale(dev.copy_to_host(a, &mut out), a), "shards={shards}");
+        assert!(stale(dev.free(a), a), "shards={shards}");
+        assert!(stale(dev.object(a).map(drop), a), "shards={shards}");
+        assert_eq!(dev.stats(), &before, "shards={shards}");
+        assert_eq!(
+            dev.to_vec::<i32>(b).unwrap(),
+            vec![7; 4096],
+            "shards={shards}"
+        );
+        assert_eq!(dev.to_vec::<i32>(keep).unwrap(), data, "shards={shards}");
+    }
+}
+
 #[test]
 fn stats_track_commands_and_copies() {
     let mut dev = Device::fulcrum(4).unwrap();
