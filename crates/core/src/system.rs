@@ -514,14 +514,17 @@ impl PimSystem {
     // Per-shard execution
     // ------------------------------------------------------------------
 
-    /// Runs `f` once per shard. With one shard this is a plain inline
-    /// call; with more, the shards go through the persistent
-    /// work-stealing pool at item granularity ([`exec::par_each_mut`]):
-    /// every shard is its own stealable unit, so a skewed `ShardMap`
-    /// keeps no worker idle, and element-level fan-outs *inside* a
-    /// shard are ordinary nested pool jobs that idle workers can help
-    /// with. The first shard error (in shard order) is returned.
-    fn on_shards<F>(shards: &mut [Shard], f: F) -> Result<()>
+    /// Runs `f` once per shard, for a command touching `elems`
+    /// elements in all. With one shard this is a plain inline call;
+    /// with more, [`exec::par_each_mut`] applies the executor's one
+    /// fan-out floor: below `2 × MIN_CHUNK` elements every shard runs
+    /// on the calling thread in shard order, and above it every shard
+    /// is its own stealable pool unit, so a skewed `ShardMap` keeps no
+    /// worker idle and element-level fan-outs *inside* a shard are
+    /// ordinary nested pool jobs that idle workers can help with.
+    /// Either way `f` runs on every shard and the first shard error (in
+    /// shard order) is returned.
+    fn on_shards<F>(shards: &mut [Shard], elems: usize, f: F) -> Result<()>
     where
         F: Fn(usize, &mut Shard) -> Result<()> + Sync,
     {
@@ -531,10 +534,17 @@ impl PimSystem {
             }
             return Ok(());
         }
-        exec::par_each_mut(shards, |i, shard| f(i, shard))
+        exec::par_each_mut(shards, elems, |i, shard| f(i, shard))
             .into_iter()
             .collect::<Result<Vec<()>>>()
             .map(|_| ())
+    }
+
+    /// Elements of object `id` across all shards, the size
+    /// [`Self::on_shards`] compares against the fan-out floor (0 for a
+    /// dead id, which every shard skips anyway).
+    fn elems(&self, id: ObjId) -> usize {
+        self.meta.get(id).map_or(0, |o| o.count as usize)
     }
 
     /// Reassembles an object's full canonical buffer in global element
@@ -671,7 +681,8 @@ impl PimSystem {
         }
         let kernel = Kernel::resolve(kind, dtype);
         let rebuilt = &rebuilt;
-        Self::on_shards(&mut self.shards, |s, shard| {
+        let elems = self.elems(dst);
+        Self::on_shards(&mut self.shards, elems, |s, shard| {
             let n = dst_map.count_on(s) as usize;
             if n == 0 {
                 return Ok(());
@@ -716,7 +727,8 @@ impl PimSystem {
         let dst_map = self.maps.get(dst).ok_or(PimError::UnknownObject(dst))?;
         if src_map == dst_map {
             if self.functional && src != dst {
-                Self::on_shards(&mut self.shards, |_s, shard| {
+                let elems = self.elems(src);
+                Self::on_shards(&mut self.shards, elems, |_s, shard| {
                     // Reuse the destination's existing buffer: repeated
                     // copies into the same object allocate nothing.
                     let Ok(dst_obj) = shard.rm.get_mut(dst) else {
@@ -784,7 +796,8 @@ impl PimSystem {
         if !self.functional {
             return Ok(());
         }
-        Self::on_shards(&mut self.shards, |_s, shard| {
+        let elems = self.elems(dst);
+        Self::on_shards(&mut self.shards, elems, |_s, shard| {
             if let Ok(obj) = shard.rm.get_mut(dst) {
                 let count = obj.count as usize;
                 // Fill in place when a buffer already exists.
@@ -931,7 +944,8 @@ impl PimSystem {
                 written.push(step.dst);
             }
         }
-        Self::on_shards(&mut self.shards, |_s, shard| {
+        let elems = self.elems(dst0);
+        Self::on_shards(&mut self.shards, elems, |_s, shard| {
             let n = match shard.rm.get(dst0) {
                 Ok(obj) => obj.count as usize,
                 Err(_) => return Ok(()),

@@ -110,15 +110,25 @@ fn close(a: f64, b: f64, rel: f64) -> bool {
     (a - b).abs() <= rel * a.abs().max(b.abs()).max(1e-12)
 }
 
-/// One target × dtype × shard-count check: bit-identical observations,
-/// identical aggregate clocks, additive per-shard ledgers, separate
-/// interconnect accounting.
+/// One target × dtype × shard-count check at 257 elements (odd,
+/// multi-word, leaves a partial trailing unit).
 fn check_shard_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
     target: PimTarget,
     shards: usize,
     seed: u64,
 ) {
-    let n = 257; // odd, multi-word, leaves a partial trailing unit
+    check_shard_equivalence_at::<T>(target, shards, seed, 257);
+}
+
+/// One target × dtype × shard-count check at `n` elements:
+/// bit-identical observations, identical aggregate clocks, additive
+/// per-shard ledgers, separate interconnect accounting.
+fn check_shard_equivalence_at<T: PimScalar + PartialEq + std::fmt::Debug>(
+    target: PimTarget,
+    shards: usize,
+    seed: u64,
+    n: usize,
+) {
     let (xs, ys) = data::<T>(n, seed);
     let ctx = format!("{target:?} {:?} shards={shards}", T::DTYPE);
 
@@ -236,6 +246,20 @@ fn shard_equivalence_holds_at_every_pool_thread_count() {
     for threads in [1usize, 2, 4, 7] {
         pimeval::exec::with_thread_count(threads, || {
             check_shard_equivalence::<i32>(PimTarget::Fulcrum, 4, 0x7EAD + threads as u64);
+        });
+    }
+}
+
+#[test]
+fn shard_equivalence_holds_above_the_fan_out_floor() {
+    // Commands under 2 × MIN_CHUNK elements run their shards inline on
+    // the calling thread; this size puts every command of the reference
+    // program above that floor, so the shards go through the pool and
+    // must stay bit-identical to the unsharded run at every thread count.
+    let n = 2 * pimeval::exec::MIN_CHUNK + 257;
+    for threads in [1usize, 2, 4, 7] {
+        pimeval::exec::with_thread_count(threads, || {
+            check_shard_equivalence_at::<i32>(PimTarget::Fulcrum, 4, 0x7EAD + threads as u64, n);
         });
     }
 }

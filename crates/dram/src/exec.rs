@@ -906,13 +906,17 @@ pub fn par_fold<R: Send>(
     par_chunks(len, map).into_iter().reduce(fold)
 }
 
-/// Runs `f(i, &mut items[i])` for every item, in parallel at item
-/// granularity (no [`MIN_CHUNK`] floor — items are assumed coarse, e.g.
-/// execution shards), returning the results in item order. The stealing
+/// Runs `f(i, &mut items[i])` for every item, returning the results in
+/// item order. `elems` is the total element count the items cover (for
+/// execution shards, the command's elements across all of them), and
+/// the floor is the same as every other loop's: below `2 × MIN_CHUNK`
+/// elements every item runs on the calling thread, in item order.
+/// Above it the items fan out at item granularity, so the stealing
 /// deques absorb skewed per-item costs, which is the whole point of
 /// using this for uneven `ShardMap`s.
 pub fn par_each_mut<T: Send, R: Send>(
     items: &mut [T],
+    elems: usize,
     f: impl Fn(usize, &mut T) -> R + Sync,
 ) -> Vec<R> {
     let len = items.len();
@@ -920,7 +924,7 @@ pub fn par_each_mut<T: Send, R: Send>(
         return Vec::new();
     }
     let lanes = thread_count().min(len).min(pool::MAX_LANES);
-    if lanes <= 1 {
+    if lanes <= 1 || elems < 2 * MIN_CHUNK {
         pool::note_sequential();
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -1161,7 +1165,7 @@ mod tests {
         for threads in [1, 3, 8] {
             let mut items: Vec<i64> = (0..23).collect();
             let out = with_thread_count(threads, || {
-                par_each_mut(&mut items, |i, v| {
+                par_each_mut(&mut items, 2 * MIN_CHUNK, |i, v| {
                     *v += 100;
                     (i, *v)
                 })
@@ -1170,6 +1174,21 @@ mod tests {
             assert_eq!(out, expect, "threads={threads}");
             assert_eq!(items, (100..123).collect::<Vec<i64>>());
         }
+    }
+
+    #[test]
+    fn par_each_mut_below_the_floor_runs_every_item_inline_in_order() {
+        let caller = std::thread::current().id();
+        let mut items: Vec<i64> = (0..23).collect();
+        let out = with_thread_count(8, || {
+            par_each_mut(&mut items, 2 * MIN_CHUNK - 1, |i, v| {
+                *v += 100;
+                (i, std::thread::current().id())
+            })
+        });
+        let expect: Vec<_> = (0..23).map(|i| (i, caller)).collect();
+        assert_eq!(out, expect);
+        assert_eq!(items, (100..123).collect::<Vec<i64>>());
     }
 
     #[test]

@@ -250,12 +250,10 @@ impl RankSim {
             | Command::Write { bank }
             | Command::Precharge { bank } => bank,
         };
-        let nbanks = self.banks.len();
         let bank = self
             .banks
             .get_mut(bank_idx)
             .ok_or(ProtocolError::NoSuchBank(bank_idx))?;
-        let _ = nbanks;
         match cmd {
             Command::Activate { row, .. } => {
                 if bank.open_row.is_some() {

@@ -386,6 +386,35 @@ impl TimingModel for Analytical {
     fn reset(&mut self) {}
 }
 
+/// Which bank each replayed access goes to: [`RowPattern::Streaming`]
+/// walks the banks round-robin from `next`, [`RowPattern::Thrashing`]
+/// pins bank 0. The replay loops work on a local copy, so the cursor
+/// stays in a register across row cycles.
+#[derive(Debug, Clone, Copy)]
+struct BankCursor {
+    next: usize,
+    banks: usize,
+}
+
+impl BankCursor {
+    /// The bank for the next access of `pattern`. The streaming cursor
+    /// wraps with a compare rather than `%`, keeping an integer
+    /// division off every replayed row cycle.
+    fn pick(&mut self, pattern: RowPattern) -> usize {
+        match pattern {
+            RowPattern::Streaming => {
+                let b = self.next;
+                self.next += 1;
+                if self.next == self.banks {
+                    self.next = 0;
+                }
+                b
+            }
+            RowPattern::Thrashing => 0,
+        }
+    }
+}
+
 /// The stateful bank-FSM backend: every charge issues closed-page row
 /// cycles (or bounded burst replays) against one [`RankSim`] and prices
 /// the stalls its interlocks impose.
@@ -393,9 +422,8 @@ impl TimingModel for Analytical {
 pub struct BankFsm {
     sim: RankSim,
     timing: DramTiming,
-    banks: usize,
     row_bytes: u64,
-    cursor: usize,
+    cursor: BankCursor,
     counters: TimingCounters,
 }
 
@@ -403,24 +431,13 @@ impl BankFsm {
     /// Stateful backend over `timing` for a rank with `banks` banks and
     /// `row_bytes`-byte rows.
     pub fn new(timing: &DramTiming, banks: usize, row_bytes: u64) -> Self {
+        let banks = banks.max(1);
         BankFsm {
-            sim: RankSim::new(ProtocolTiming::from_coarse(timing), banks.max(1)),
+            sim: RankSim::new(ProtocolTiming::from_coarse(timing), banks),
             timing: *timing,
-            banks: banks.max(1),
             row_bytes,
-            cursor: 0,
+            cursor: BankCursor { next: 0, banks },
             counters: TimingCounters::default(),
-        }
-    }
-
-    fn pick_bank(&mut self, pattern: RowPattern) -> usize {
-        match pattern {
-            RowPattern::Streaming => {
-                let b = self.cursor;
-                self.cursor = (self.cursor + 1) % self.banks;
-                b
-            }
-            RowPattern::Thrashing => 0,
         }
     }
 
@@ -434,14 +451,15 @@ impl BankFsm {
         let before = self.sim.stats();
         let mut elapsed = 0.0;
         let mut last = 0.0;
+        let mut cursor = self.cursor;
         for _ in 0..replay {
-            let bank = self.pick_bank(pattern);
             last = self
                 .sim
-                .row_cycle(bank, write, extra_ns)
+                .row_cycle(cursor.pick(pattern), write, extra_ns)
                 .expect("bank cursor stays in range");
             elapsed += last;
         }
+        self.cursor = cursor;
         let mut delta: TimingCounters =
             TimingCounters::from(self.sim.stats()).delta_since(&TimingCounters::from(before));
         let tail = n - replay;
@@ -512,14 +530,15 @@ impl TimingModel for BankFsm {
         let replay = pairs.min(ROW_REPLAY_CAP);
         let mut elapsed = 0.0;
         let mut last = 0.0;
+        let mut cursor = self.cursor;
         for _ in 0..replay {
-            let bank = self.pick_bank(RowPattern::Streaming);
             last = self
                 .sim
-                .activate_precharge_cycle(bank)
+                .activate_precharge_cycle(cursor.pick(RowPattern::Streaming))
                 .expect("bank cursor stays in range");
             elapsed += last;
         }
+        self.cursor = cursor;
         let tail = pairs - replay;
         if tail > 0 {
             let tail_ns = tail as f64 * last;
@@ -572,8 +591,8 @@ impl TimingModel for BankFsm {
     }
 
     fn reset(&mut self) {
-        self.sim = RankSim::new(ProtocolTiming::from_coarse(&self.timing), self.banks);
-        self.cursor = 0;
+        self.sim = RankSim::new(ProtocolTiming::from_coarse(&self.timing), self.cursor.banks);
+        self.cursor.next = 0;
         self.counters = TimingCounters::default();
     }
 }
@@ -585,6 +604,24 @@ mod tests {
     fn pair() -> (Analytical, BankFsm) {
         let t = DramTiming::ddr4_default();
         (Analytical::new(&t, 16, 1024), BankFsm::new(&t, 16, 1024))
+    }
+
+    #[test]
+    fn bank_cursor_wraps_round_robin_and_thrashing_pins_bank_zero() {
+        let t = DramTiming::ddr4_default();
+        for banks in [1usize, 3, 16] {
+            let mut cursor = BankFsm::new(&t, banks, 1024).cursor;
+            let streamed: Vec<usize> = (0..2 * banks + 5)
+                .map(|_| cursor.pick(RowPattern::Streaming))
+                .collect();
+            let expect: Vec<usize> = (0..2 * banks + 5).map(|i| i % banks).collect();
+            assert_eq!(streamed, expect, "banks={banks}");
+            let next = cursor.next;
+            for _ in 0..2 * banks + 5 {
+                assert_eq!(cursor.pick(RowPattern::Thrashing), 0, "banks={banks}");
+            }
+            assert_eq!(cursor.next, next, "thrashing leaves the cursor alone");
+        }
     }
 
     #[test]
